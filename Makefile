@@ -5,7 +5,8 @@ PY ?= python
 export PYTHONPATH := src
 
 .PHONY: test ci bench bench-record overhead-check serve-smoke fsck-smoke \
-	store-bench-smoke scaling-smoke cluster-smoke reshard-smoke lowrank-smoke harness
+	store-bench-smoke scaling-smoke cluster-smoke reshard-smoke lowrank-smoke \
+	kernel-smoke harness
 
 test:
 	$(PY) -m pytest tests/ -q
@@ -86,6 +87,13 @@ reshard-smoke:
 ## bound and a minimum ratio on both paths plus live lowrank.* telemetry.
 lowrank-smoke:
 	timeout 150 $(PY) scripts/lowrank_smoke.py
+
+## Compiled index-pass gate: fails unless the C kernel built and loaded
+## (hosts with gcc must never fall back to numpy silently), then checks
+## the golden fixtures and a trialanine stream under every ECQ tree decode
+## byte-identically through the kernel and the numpy fallback.
+kernel-smoke:
+	timeout 120 $(PY) scripts/kernel_smoke.py
 
 harness:
 	$(PY) -m repro.harness all

@@ -14,8 +14,9 @@ fused numpy pass over all blocks, the coding decisions are vectorised, and
 bit emission/parsing groups blocks by their ``(kind, P_b, EC_b,max,
 sparse)`` class so each class's fixed-width fields move through one bit
 matrix and each class's ECQ symbols through one tree-codec call.  The
-remaining Python loops only stage precomputed arrays (compress) or walk
-scalar header fields (the decompress index pass); see
+remaining Python loops only stage precomputed arrays (compress); the
+sequential decompress index pass is one call into a compiled kernel
+(:mod:`repro.core.kernel`), with a numpy walk as fallback; see
 ``docs/ALGORITHM.md`` §"Batched execution".  The emitted bits are
 *identical* to the historical per-block loop — batching is an execution
 strategy, not a format change.
@@ -36,6 +37,7 @@ from repro.bitio import (
     varlen_bits,
 )
 from repro.core import header as fmt
+from repro.core import kernel
 from repro.core.blocking import BlockSpec, split_blocks
 from repro.core.classify import BlockType
 from repro.core.quantize import MAX_FIELD_BITS, ecq_bin_numbers, working_binsize
@@ -604,7 +606,26 @@ class PaSTRICompressor:
         return self._reconstruct(hdr, r, parse)
 
     def _index_pass(self, blob: bytes, hdr: fmt.StreamHeader, r: BitReader) -> tuple:
-        """Sequential field-location pass; returns the read-only parse tuple."""
+        """Sequential field-location pass; returns the read-only parse tuple.
+
+        One call into the compiled kernel (:mod:`repro.core.kernel`) when it
+        is available, else :meth:`_index_pass_numpy` — same tuple, same
+        exception classes; the numpy pass is also the kernel's test oracle.
+        """
+        lib = kernel.load()
+        if (
+            lib is None
+            or hdr.tree_id not in TREE_IDS
+            or hdr.spec.block_size > kernel.MAX_BLOCK_SIZE
+        ):
+            return self._index_pass_numpy(blob, hdr, r)
+        return kernel.index_pass(lib, blob, hdr, r.pos, MAX_FIELD_BITS, MAX_ECB)
+
+    def _index_pass_numpy(
+        self, blob: bytes, hdr: fmt.StreamHeader, r: BitReader
+    ) -> tuple:
+        """Index pass in Python + numpy: a scalar field walk that decodes
+        each dense ECQ segment with the vectorised event-chain decoder."""
         spec = hdr.spec
         M, L, N = spec.num_sb, spec.sb_size, spec.block_size
         idx_bits = max(1, (N - 1).bit_length())
@@ -648,6 +669,8 @@ class PaSTRICompressor:
             ecb_arr[b] = eb_max
             if eb_max < 2:
                 continue
+            if eb_max > MAX_ECB:
+                raise FormatError(f"bad EC_b,max {eb_max} in block {b}")
             if sc.read(1):  # sparse ECQ: record the entry run, skip it
                 if idx_bits + eb_max > 64:
                     raise FormatError(f"oversized outlier fields in block {b}")
