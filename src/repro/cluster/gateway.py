@@ -33,27 +33,30 @@ ring atomically.  Routing is migration-aware throughout — reads try the
 new ring's owners first and fall back on NOT_FOUND; writes go to the
 union of old and new preference lists — so clients see zero failed
 reads.  See ``docs/CLUSTER.md`` for the full protocol.
+
+**Lifecycle.**  The gateway is an :class:`~repro.service.endpoint.
+Endpoint`: it drains in the endpoint core's one order (listener closed,
+admitted requests finished, every client connection closed, then the
+health and hint-drain tasks, the shard link pools and the hint journal
+are released) and shares the core's thread host.
 """
 
 from __future__ import annotations
 
 import asyncio
-import signal
-import threading
 import time
 from dataclasses import dataclass, field
 
 from repro import telemetry
 from repro.cluster.hints import HintLog
 from repro.cluster.ring import DEFAULT_VNODES, HashRing, key_bytes
-from repro.errors import ParameterError, ProtocolError, ServiceError
+from repro.errors import ParameterError
 from repro.service import buffers, protocol
+from repro.service.client import Link
+from repro.service.endpoint import Endpoint, EndpointHandle, host_in_thread
 from repro.telemetry import REGISTRY as _METRICS
 
-__all__ = ["GatewayConfig", "ClusterGateway", "GatewayHandle", "gateway_in_thread"]
-
-#: ops the ring routes by key (everything else is stateless spreading)
-_KEYED_OPS = ("store.put", "store.get")
+__all__ = ["GatewayConfig", "ClusterGateway", "gateway_in_thread"]
 
 
 @dataclass
@@ -98,73 +101,6 @@ class GatewayConfig:
         return out
 
 
-class _ShardLink:
-    """One persistent PSRV connection to a shard (lazy, self-healing)."""
-
-    def __init__(self, host: str, port: int, max_payload: int) -> None:
-        self.host = host
-        self.port = port
-        self.max_payload = max_payload
-        self._reader: asyncio.StreamReader | None = None
-        self._writer: asyncio.StreamWriter | None = None
-        self._next_id = 0
-
-    async def _connect(self) -> None:
-        if self._writer is None:
-            self._reader, self._writer = await asyncio.open_connection(
-                self.host, self.port
-            )
-
-    async def close(self) -> None:
-        if self._writer is not None:
-            self._writer.close()
-            try:
-                await self._writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-            self._reader = self._writer = None
-
-    def abort(self) -> None:
-        """Synchronous close for contexts that cannot await (cancellation).
-
-        The transport tears the connection down on the event loop's next
-        tick; the link reconnects lazily on its next use.
-        """
-        if self._writer is not None:
-            self._writer.close()
-        self._reader = self._writer = None
-
-    async def call(self, op: str, params: dict, payload, route: dict
-                   ) -> tuple[dict, bytes]:
-        """Forward one op; returns the raw response ``(header, payload)``.
-
-        Error *replies* come back as headers (``ok: false``) for the
-        caller to interpret; only transport failures raise.  The request
-        payload goes out as a buffer-chain part — no copy here.
-        """
-        await self._connect()
-        self._next_id += 1
-        req_id = self._next_id
-        try:
-            self._writer.writelines(
-                protocol.encode_request_parts(op, req_id, params, payload, route)
-            )
-            await self._writer.drain()
-            frame = await protocol.read_frame_async(self._reader, self.max_payload)
-        except (ConnectionError, OSError, ProtocolError):
-            await self.close()
-            raise
-        if frame is None:
-            await self.close()
-            raise ConnectionResetError("shard closed the connection mid-request")
-        header, body = frame
-        got = header.get("id")
-        if got is not None and got != req_id:
-            await self.close()
-            raise ProtocolError(f"shard response id {got} != request {req_id}")
-        return header, body
-
-
 class _LinkPool:
     """A small pool of links to one shard; calls lease one at a time."""
 
@@ -182,25 +118,18 @@ class _LinkPool:
                    ) -> tuple[dict, bytes]:
         if self._spare > 0:
             self._spare -= 1
-            link = _ShardLink(self._host, self._port, self._max_payload)
+            link = Link(self._host, self._port, self._max_payload)
         else:
             link = await self._free.get()
-        clean = False
         try:
-            result = await asyncio.wait_for(
+            return await asyncio.wait_for(
                 link.call(op, params, payload, route), self._timeout_s
             )
-            clean = True
-            return result
         finally:
-            # ANY non-clean exit — timeout, transport error, cancellation
-            # (e.g. a gateway drain mid-``writelines``) — may leave the
-            # connection desynchronized: a request half-written or a
-            # response half-read.  Re-pooling it live would hand the next
-            # caller a stale or torn frame, so drop the connection; the
-            # link reconnects lazily.  (abort() is sync: under
-            # cancellation an ``await`` here could itself be cancelled.)
-            if not clean or self._closing:
+            # a non-clean exit (timeout, transport error, cancellation)
+            # already dropped the link's connection (see Link.call); links
+            # leased while the pool closes are dropped as they return
+            if self._closing:
                 link.abort()
             self._free.put_nowait(link)
 
@@ -258,11 +187,13 @@ class _Migration:
         }
 
 
-class ClusterGateway:
+class ClusterGateway(Endpoint):
     """The asyncio gateway server; see the module docstring for semantics."""
 
+    kind = "gateway"
+
     def __init__(self, config: GatewayConfig) -> None:
-        self.config = config
+        super().__init__(config)
         addrs = config.shard_addrs()
         if not addrs:
             raise ParameterError("a gateway needs at least one shard")
@@ -276,14 +207,9 @@ class ClusterGateway:
             self._add_member(name, host, port)
         self._migration: _Migration | None = None
         self._rr = 0  # round-robin cursor for stateless ops
-        self._server: asyncio.AbstractServer | None = None
         self._health_task: asyncio.Task | None = None
         self._drain_tasks: set[asyncio.Task] = set()
         self._drain_active: set[str] = set()  # shards with a drain running
-        self._tasks: set[asyncio.Task] = set()
-        self._draining = False
-        self._started = time.monotonic()
-        self._stopped = asyncio.Event()
 
     # -- membership ----------------------------------------------------------
 
@@ -306,51 +232,32 @@ class ClusterGateway:
         if pool is not None:
             await pool.close()
 
-    # -- lifecycle -----------------------------------------------------------
+    # -- endpoint hooks --------------------------------------------------------
 
-    @property
-    def port(self) -> int:
-        if self._server is None:
-            raise ServiceError("gateway is not started")
-        return self._server.sockets[0].getsockname()[1]
-
-    async def start(self) -> None:
-        if self.config.telemetry:
-            telemetry.enable()
-        self._started = time.monotonic()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
-        )
+    async def _open(self) -> None:
         self._health_task = asyncio.ensure_future(self._health_loop())
 
-    async def serve_forever(self) -> None:
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(
-                    sig, lambda: asyncio.ensure_future(self.stop())
-                )
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                break
-        await self._stopped.wait()
-
-    async def stop(self) -> None:
-        if self._draining:
-            return
-        self._draining = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        if self._health_task is not None:
-            self._health_task.cancel()
-        for task in list(self._drain_tasks):
+    async def _release(self, abort: bool) -> None:
+        """Cancel the health and hint-drain tasks, close every link pool,
+        close the hint journal (the same for a drain and an abort)."""
+        tasks = [t for t in (self._health_task, *self._drain_tasks) if t is not None]
+        for task in tasks:
             task.cancel()
-        if self._tasks:
-            await asyncio.gather(*list(self._tasks), return_exceptions=True)
+        await asyncio.gather(*tasks, return_exceptions=True)
         for pool in self._pools.values():
             await pool.close()
         self.hints.close()
-        self._stopped.set()
+
+    def _error_reply(self, req_id, exc: Exception) -> bytes:
+        if isinstance(exc, ParameterError):
+            return protocol.encode_error(req_id, "BAD_REQUEST", str(exc))
+        self._count("cluster.errors")
+        return protocol.encode_error(req_id, "INTERNAL", str(exc))
+
+    def _record_request(self, op: str | None, wall_s: float, bytes_in: int) -> None:
+        self._count("cluster.requests")
+        if telemetry.is_enabled():
+            _METRICS.timer("cluster.request").observe(wall_s, nbytes=bytes_in)
 
     # -- shard health --------------------------------------------------------
 
@@ -448,70 +355,6 @@ class ClusterGateway:
             else:
                 self._count("cluster.hints.drain_failures")
 
-    # -- connection handling -------------------------------------------------
-
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        write_lock = asyncio.Lock()
-        try:
-            while True:
-                try:
-                    frame = await protocol.read_frame_async(
-                        reader, self.config.max_payload_bytes
-                    )
-                except ProtocolError as exc:
-                    await self._write(
-                        writer, write_lock,
-                        protocol.encode_error(None, "PROTOCOL", str(exc)),
-                    )
-                    break
-                if frame is None:
-                    break
-                header, payload = frame
-                task = asyncio.ensure_future(
-                    self._serve_request(header, payload, writer, write_lock)
-                )
-                self._tasks.add(task)
-                task.add_done_callback(self._tasks.discard)
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
-
-    async def _write(self, writer, lock: asyncio.Lock, frame) -> None:
-        parts = frame if isinstance(frame, list) else [frame]
-        async with lock:
-            writer.writelines(parts)
-            await writer.drain()
-
-    async def _serve_request(self, header: dict, payload: bytes, writer,
-                             write_lock: asyncio.Lock) -> None:
-        op = header.get("op")
-        req_id = header.get("id")
-        t0 = time.perf_counter()
-        try:
-            reply = await self._dispatch(op, req_id, header, payload)
-        except asyncio.CancelledError:
-            raise
-        except ParameterError as exc:
-            reply = protocol.encode_error(req_id, "BAD_REQUEST", str(exc))
-        except Exception as exc:
-            self._count("cluster.errors")
-            reply = protocol.encode_error(req_id, "INTERNAL", str(exc))
-        self._count("cluster.requests")
-        if telemetry.is_enabled():
-            _METRICS.timer("cluster.request").observe(
-                time.perf_counter() - t0, nbytes=len(payload)
-            )
-        try:
-            await self._write(writer, write_lock, reply)
-        except (ConnectionError, OSError):
-            pass
-
     # -- routing -------------------------------------------------------------
 
     def _route(self, shard: str, attempt: int) -> dict:
@@ -558,14 +401,10 @@ class ClusterGateway:
         spares = [s for s in pool if s not in preferred]
         return preferred, spares
 
-    async def _dispatch(self, op, req_id, header: dict, payload: bytes):
-        if self._draining:
-            return protocol.encode_error(
-                req_id, "SHUTTING_DOWN", "gateway is draining", retry_after_s=0.2
-            )
-        params = header.get("params") or {}
-        if not isinstance(params, dict):
-            raise ParameterError("request params must be a JSON object")
+    async def _dispatch(self, header: dict, payload: bytes):
+        op = header.get("op")
+        req_id = header.get("id")
+        params = self._params(header)
         if op == "health":
             return protocol.encode_response(req_id, self._health())
         if op == "metrics":
@@ -1051,69 +890,9 @@ class ClusterGateway:
             agg["hit_rate"] = agg.get("cache_hits", 0) / lookups
         return agg
 
-    @staticmethod
-    def _count(name: str, n: int = 1) -> None:
-        if telemetry.is_enabled():
-            _METRICS.counter(name).add(n)
-
-
-# ---------------------------------------------------------------------------
-# thread-hosted gateway (tests, benchmarks, notebooks)
-
-
-class GatewayHandle:
-    """A running gateway hosted on a background thread (see ``stop``)."""
-
-    def __init__(self, gateway: ClusterGateway, loop: asyncio.AbstractEventLoop,
-                 thread: threading.Thread) -> None:
-        self.gateway = gateway
-        self.host = gateway.config.host
-        self.port = gateway.port
-        self._loop = loop
-        self._thread = thread
-
-    def stop(self, timeout: float = 30.0) -> None:
-        if self._thread.is_alive():
-            asyncio.run_coroutine_threadsafe(
-                self.gateway.stop(), self._loop
-            ).result(timeout)
-            self._thread.join(timeout)
-
-    def __enter__(self) -> "GatewayHandle":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.stop()
-
 
 def gateway_in_thread(config: GatewayConfig,
-                      start_timeout: float = 30.0) -> GatewayHandle:
-    """Start a :class:`ClusterGateway` on a daemon thread."""
-    gateway = ClusterGateway(config)
-    started = threading.Event()
-    boot_error: list[BaseException] = []
-    holder: dict = {}
-
-    def run() -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        holder["loop"] = loop
-        try:
-            loop.run_until_complete(gateway.start())
-        except BaseException as exc:
-            boot_error.append(exc)
-            started.set()
-            return
-        started.set()
-        try:
-            loop.run_until_complete(gateway._stopped.wait())
-        finally:
-            loop.close()
-
-    thread = threading.Thread(target=run, name="pastri-gateway", daemon=True)
-    thread.start()
-    if not started.wait(start_timeout):
-        raise ServiceError("gateway failed to start within the timeout")
-    if boot_error:
-        raise boot_error[0]
-    return GatewayHandle(gateway, holder["loop"], thread)
+                      start_timeout: float = 30.0) -> EndpointHandle:
+    """Start a :class:`ClusterGateway` on a daemon thread; returns its
+    handle (:class:`~repro.service.endpoint.EndpointHandle`)."""
+    return host_in_thread(ClusterGateway(config), start_timeout)

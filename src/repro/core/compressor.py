@@ -613,11 +613,7 @@ class PaSTRICompressor:
         exception classes; the numpy pass is also the kernel's test oracle.
         """
         lib = kernel.load()
-        if (
-            lib is None
-            or hdr.tree_id not in TREE_IDS
-            or hdr.spec.block_size > kernel.MAX_BLOCK_SIZE
-        ):
+        if lib is None or hdr.spec.block_size > kernel.MAX_BLOCK_SIZE:
             return self._index_pass_numpy(blob, hdr, r)
         return kernel.index_pass(lib, blob, hdr, r.pos, MAX_FIELD_BITS, MAX_ECB)
 

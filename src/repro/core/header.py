@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from repro.bitio import BitReader, BitWriter
 from repro.core.blocking import BlockSpec
 from repro.core.scaling import ScalingMetric
+from repro.core.trees import TREE_IDS
 from repro.errors import FormatError, ParameterError
 
 MAGIC = 0x50535452  # 'PSTR'
@@ -96,6 +97,8 @@ def read_header(r: BitReader) -> StreamHeader:
     if version != VERSION:
         raise FormatError(f"unsupported PaSTRI stream version {version}")
     tree_id = r.read_uint(4)
+    if tree_id not in TREE_IDS:
+        raise FormatError(f"bad tree id {tree_id}")
     metric_idx = r.read_uint(4)
     if metric_idx >= len(_METRIC_ORDER):
         raise FormatError(f"bad metric index {metric_idx}")

@@ -7,7 +7,7 @@ integrals can be compressed centrally and fetched on demand — the
 producer/consumer split the paper's GAMESS deployment and the FPGA /
 hierarchical-matrix ERI backends in PAPERS.md all assume.
 
-Four modules:
+Five modules:
 
 * :mod:`repro.service.protocol` — the length-prefixed framed wire format
   (JSON header + raw binary payload) shared by both ends, with
@@ -15,6 +15,10 @@ Four modules:
   reads for the zero-copy data plane;
 * :mod:`repro.service.buffers` — reusable growable payload buffers and a
   small free-list pool (``service.buffers.*`` telemetry);
+* :mod:`repro.service.endpoint` — the asyncio endpoint core the server
+  and the cluster gateway both subclass: accept loop, connection
+  registry, frame loop, per-connection writes, the one drain order
+  (idle clients read EOF), hard abort, and the thread host;
 * :mod:`repro.service.server` — an asyncio TCP server with micro-batched
   compression fused into the batched kernels (``compress_many``),
   bounded-queue backpressure (BUSY replies, never unbounded buffering),
@@ -23,7 +27,8 @@ Four modules:
   reuse, a per-connection receive buffer (no per-request allocation on
   the happy path), timeouts, and
   retry-with-exponential-backoff-and-jitter on BUSY and connection
-  errors.
+  errors; the async client wraps :class:`~repro.service.client.Link`,
+  the self-healing connection the gateway also pools.
 
 ``pastri serve`` and ``pastri remote ...`` expose the two ends on the
 command line; ``docs/SERVICE.md`` documents the protocol and the

@@ -3,7 +3,9 @@
 :class:`ServiceClient` is the blocking client — one reused TCP connection,
 one request in flight at a time (the server pipelines across *clients*,
 not within a connection).  :class:`AsyncServiceClient` is its asyncio twin
-for event-loop callers.  Both speak :mod:`repro.service.protocol` and
+for event-loop callers: one :class:`Link` (the lazy, self-healing asyncio
+PSRV connection the cluster gateway also pools to reach its shards) plus
+a lock and the retry loop.  Both speak :mod:`repro.service.protocol` and
 raise the typed :mod:`repro.errors` hierarchy.
 
 Retries follow :class:`RetryPolicy`: BUSY/SHUTTING_DOWN replies and
@@ -25,16 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import (
-    DeadlineExceeded,
-    ProtocolError,
-    ServerBusyError,
-    ServiceError,
-)
+from repro.errors import DeadlineExceeded, ServerBusyError, ServiceError
 from repro.service import protocol
 from repro.service.buffers import PayloadBuffer
 
-__all__ = ["RetryPolicy", "ServiceClient", "AsyncServiceClient"]
+__all__ = ["RetryPolicy", "ServiceClient", "AsyncServiceClient", "Link"]
 
 
 @dataclass(frozen=True)
@@ -56,7 +53,7 @@ def _is_retryable(exc: Exception) -> bool:
         return True
     if isinstance(exc, ServiceError):  # ProtocolError / RemoteError: surface
         return False
-    return isinstance(exc, (ConnectionError, socket.timeout, OSError))
+    return isinstance(exc, (ConnectionError, asyncio.TimeoutError, OSError))
 
 
 def _retry_hint(exc: Exception) -> float:
@@ -144,24 +141,17 @@ class ServiceClient:
             self._send_parts(
                 protocol.encode_request_parts(op, req_id, params, payload)
             )
-            frame = protocol.read_frame_socket(
-                self._sock, self._recv_buf, self.max_payload
+            header, body = protocol.check_reply(
+                protocol.read_frame_socket(
+                    self._sock, self._recv_buf, self.max_payload
+                ),
+                req_id,
             )
-        except (ConnectionError, socket.timeout, OSError):
+        except BaseException:
+            # any failure may leave the stream desynchronized: reconnect
             self.close()
             raise
-        if frame is None:
-            self.close()
-            raise ConnectionResetError("server closed the connection mid-request")
-        header, body = frame
-        got = header.get("id")
-        if got is not None and got != req_id:
-            self.close()
-            raise ProtocolError(
-                f"response id {got} does not match request {req_id}"
-            )
-        result = protocol.raise_for_error(header)
-        return result, body
+        return protocol.raise_for_error(header), body
 
     def _roundtrip(self, op: str, params: dict | None = None,
                    payload=b"") -> tuple[dict, memoryview]:
@@ -259,11 +249,77 @@ class ServiceClient:
         return result, bytes(body)
 
 
+class Link:
+    """One lazy, self-healing asyncio PSRV connection.
+
+    The connection opens on the first :meth:`call`.  Any exit from a call
+    that is not a clean round trip — a transport or framing error, a
+    mismatched reply, a timeout or cancellation imposed by the caller —
+    aborts the connection: a half-written request or half-read reply can
+    never reach the next call, which reconnects.
+    """
+
+    def __init__(self, host: str, port: int,
+                 max_payload: int = protocol.DEFAULT_MAX_PAYLOAD) -> None:
+        self.host = host
+        self.port = port
+        self.max_payload = max_payload
+        self._reader: asyncio.StreamReader | None = None
+        self._writer: asyncio.StreamWriter | None = None
+        self._next_id = 0
+
+    async def call(self, op: str, params: dict, payload=b"",
+                   route: dict | None = None) -> tuple[dict, bytes]:
+        """One round trip; returns the raw reply ``(header, payload)``.
+
+        Error *replies* come back as headers (``ok: false``) for the
+        caller to interpret; only transport and framing failures raise.
+        The request payload goes out as a buffer-chain part — no copy.
+        """
+        try:
+            if self._writer is None:
+                self._reader, self._writer = await asyncio.open_connection(
+                    self.host, self.port
+                )
+            self._next_id += 1
+            req_id = self._next_id
+            self._writer.writelines(
+                protocol.encode_request_parts(op, req_id, params, payload, route)
+            )
+            await self._writer.drain()
+            return protocol.check_reply(
+                await protocol.read_frame_async(self._reader, self.max_payload),
+                req_id,
+            )
+        except BaseException:  # cancellation included
+            self.abort()
+            raise
+
+    def abort(self) -> None:
+        """Drop the connection without awaiting (safe under cancellation);
+        the transport closes on the loop's next tick and the next call
+        reconnects."""
+        if self._writer is not None:
+            self._writer.close()
+        self._reader = self._writer = None
+
+    async def close(self) -> None:
+        """Close the connection and wait for it to go down."""
+        writer = self._writer
+        self.abort()
+        if writer is not None:
+            try:
+                await writer.wait_closed()
+            except (ConnectionError, OSError):
+                pass
+
+
 class AsyncServiceClient:
     """Asyncio client with the same surface as :class:`ServiceClient`.
 
-    One connection, one request at a time (an internal lock serializes
-    concurrent callers); retry/backoff identical to the sync client.
+    One :class:`Link`, one request at a time (an internal lock serializes
+    concurrent callers); ``timeout`` bounds each round trip, and
+    retry/backoff is identical to the sync client.
     """
 
     def __init__(
@@ -279,61 +335,17 @@ class AsyncServiceClient:
         self.timeout = timeout
         self.retry = retry or RetryPolicy()
         self.max_payload = max_payload
-        self._reader: asyncio.StreamReader | None = None
-        self._writer: asyncio.StreamWriter | None = None
+        self._link = Link(host, port, max_payload)
         self._lock = asyncio.Lock()
-        self._next_id = 0
-
-    async def _connect(self) -> None:
-        if self._writer is not None:
-            return
-        self._reader, self._writer = await asyncio.wait_for(
-            asyncio.open_connection(self.host, self.port), self.timeout
-        )
 
     async def close(self) -> None:
-        if self._writer is not None:
-            self._writer.close()
-            try:
-                await self._writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-            self._reader = self._writer = None
+        await self._link.close()
 
     async def __aenter__(self) -> "AsyncServiceClient":
         return self
 
     async def __aexit__(self, exc_type, exc, tb) -> None:
         await self.close()
-
-    async def _roundtrip_once(self, op: str, params: dict, payload: bytes
-                              ) -> tuple[dict, bytes]:
-        await self._connect()
-        self._next_id += 1
-        req_id = self._next_id
-        try:
-            self._writer.writelines(
-                protocol.encode_request_parts(op, req_id, params, payload)
-            )
-            await asyncio.wait_for(self._writer.drain(), self.timeout)
-            frame = await asyncio.wait_for(
-                protocol.read_frame_async(self._reader, self.max_payload),
-                self.timeout,
-            )
-        except (ConnectionError, asyncio.TimeoutError, OSError):
-            await self.close()
-            raise
-        if frame is None:
-            await self.close()
-            raise ConnectionResetError("server closed the connection mid-request")
-        header, body = frame
-        got = header.get("id")
-        if got is not None and got != req_id:
-            await self.close()
-            raise ProtocolError(
-                f"response id {got} does not match request {req_id}"
-            )
-        return protocol.raise_for_error(header), body
 
     async def _roundtrip(self, op: str, params: dict | None = None,
                          payload: bytes = b"") -> tuple[dict, bytes]:
@@ -342,13 +354,12 @@ class AsyncServiceClient:
         async with self._lock:
             while True:
                 try:
-                    return await self._roundtrip_once(op, params, payload)
+                    header, body = await asyncio.wait_for(
+                        self._link.call(op, params, payload), self.timeout
+                    )
+                    return protocol.raise_for_error(header), body
                 except Exception as exc:
-                    if isinstance(exc, asyncio.TimeoutError):
-                        retryable = True
-                    else:
-                        retryable = _is_retryable(exc)
-                    if not retryable or attempt >= self.retry.max_retries:
+                    if not _is_retryable(exc) or attempt >= self.retry.max_retries:
                         raise
                     await asyncio.sleep(self.retry.delay(attempt, _retry_hint(exc)))
                     attempt += 1

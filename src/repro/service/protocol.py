@@ -69,6 +69,7 @@ __all__ = [
     "read_frame",
     "read_frame_async",
     "read_frame_socket",
+    "check_reply",
     "raise_for_error",
     "array_to_payload",
     "array_to_view",
@@ -300,6 +301,22 @@ async def read_frame_async(reader: asyncio.StreamReader,
     except asyncio.IncompleteReadError as exc:
         raise ProtocolError("connection closed mid-frame") from exc
     return header, payload
+
+
+def check_reply(frame: tuple | None, req_id: int) -> tuple:
+    """Correlate a reply frame with the request it answers.
+
+    ``None`` (the peer closed the connection instead of replying) raises
+    :class:`ConnectionResetError`; a reply carrying another request's id
+    raises :class:`ProtocolError`.  Either way the caller must drop the
+    connection.  Returns the frame unchanged.
+    """
+    if frame is None:
+        raise ConnectionResetError("peer closed the connection mid-request")
+    got = frame[0].get("id")
+    if got is not None and got != req_id:
+        raise ProtocolError(f"response id {got} does not match request {req_id}")
+    return frame
 
 
 def raise_for_error(header: dict) -> dict:

@@ -21,9 +21,11 @@ error reply (the 429 pattern) and the client backs off.  A request that
 waits in queue past ``request_deadline_ms`` is answered ``DEADLINE``
 without being processed, so a stampede cannot build an invisible backlog.
 
-On SIGTERM (and SIGINT) the server drains gracefully: the listener
-closes, queued and in-flight requests finish, then the store and pool
-shut down — a spill-backed store finalizes its container footer.
+On SIGTERM (and SIGINT) the server drains gracefully in the endpoint
+core's one order (:mod:`repro.service.endpoint`): the listener closes,
+queued and in-flight requests finish, every connection is closed (idle
+clients read EOF), then the store and pool shut down — a spill-backed
+store finalizes its container footer.
 
 Every request is traced with a ``service.request`` span (grafted into the
 telemetry buffer whole, so concurrent coroutines cannot mis-nest) and
@@ -35,8 +37,6 @@ running server.
 from __future__ import annotations
 
 import asyncio
-import signal
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -44,22 +44,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import api, telemetry
-from repro.errors import (
-    ParameterError,
-    ProtocolError,
-    ReproError,
-    ServiceError,
-)
+from repro.errors import ParameterError, ReproError, ServiceError
 from repro.pipeline.store import (
     CompressedERIStore,
     ContainerBackend,
     _revive_key,
 )
 from repro.service import buffers, protocol
+from repro.service.endpoint import Endpoint, EndpointHandle, host_in_thread
 from repro.telemetry import REGISTRY as _METRICS
 from repro.telemetry.spans import adopt_spans
 
-__all__ = ["ServerConfig", "CompressionServer", "serve_in_thread", "ServerHandle"]
+__all__ = ["ServerConfig", "CompressionServer", "serve_in_thread"]
 
 
 @dataclass
@@ -125,11 +121,13 @@ class _Request:
         self.op = header.get("op")
 
 
-class CompressionServer:
+class CompressionServer(Endpoint):
     """The asyncio TCP server; see the module docstring for semantics."""
 
+    kind = "server"
+
     def __init__(self, config: ServerConfig | None = None) -> None:
-        self.config = config or ServerConfig()
+        super().__init__(config or ServerConfig())
         self.codec = self.config.codec or api.get_codec(
             self.config.codec_name, **self.config.codec_kwargs
         )
@@ -150,7 +148,6 @@ class CompressionServer:
             readahead_depth=self.config.readahead,
             hot_cache_policy=self.config.store_policy,
         )
-        self._server: asyncio.AbstractServer | None = None
         self._queue: asyncio.Queue | None = None
         self._dispatcher: asyncio.Task | None = None
         self._executor = ThreadPoolExecutor(
@@ -158,26 +155,11 @@ class CompressionServer:
             thread_name_prefix="pastri-svc",
         )
         self._pool = None  # CodecWorkerPool, created on start when n_workers > 1
-        self._inflight_bytes = 0
-        self._draining = False
-        self._started = time.monotonic()
-        self._tasks: set[asyncio.Task] = set()
-        self._conns: set[asyncio.StreamWriter] = set()
-        self._stopped = asyncio.Event()
 
-    # -- lifecycle -----------------------------------------------------------
+    # -- endpoint hooks --------------------------------------------------------
 
-    @property
-    def port(self) -> int:
-        """The bound TCP port (valid after :meth:`start`)."""
-        if self._server is None:
-            raise ServiceError("server is not started")
-        return self._server.sockets[0].getsockname()[1]
-
-    async def start(self) -> None:
-        """Bind the listener and start the batch dispatcher."""
-        if self.config.telemetry:
-            telemetry.enable()
+    async def _open(self) -> None:
+        """Start the worker pool (``n_workers > 1``) and the batch dispatcher."""
         if self.config.n_workers > 1 and self.config.codec is None:
             from repro.parallel.pool import CodecWorkerPool
 
@@ -188,133 +170,36 @@ class CompressionServer:
             )
         self._queue = asyncio.Queue(maxsize=self.config.max_queue)
         self._dispatcher = asyncio.ensure_future(self._batch_dispatcher())
-        self._started = time.monotonic()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
-        )
 
-    async def serve_forever(self) -> None:
-        """Run until :meth:`stop` (or SIGTERM/SIGINT on platforms with
-        signal-handler support) initiates the drain."""
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(
-                    sig, lambda: asyncio.ensure_future(self.stop())
-                )
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                break
-        await self._stopped.wait()
+    async def _release(self, abort: bool) -> None:
+        """Stop the dispatcher, then the pool, executor and store.
 
-    async def stop(self) -> None:
-        """Graceful drain: refuse new work, finish admitted work, release."""
-        if self._draining:
+        Graceful: queued compress requests flow through the dispatcher
+        and the store is closed.  ``abort``: the dispatcher is cancelled
+        and the store is *aborted* — its spill container is left
+        footerless with only the journal describing it, exactly the disk
+        state a SIGKILLed process leaves.  A successor server over the
+        same spill path must come back through the salvage/recovery path
+        (``spill_recover=True``).
+        """
+        if abort:
+            self._dispatcher.cancel()
+            await asyncio.gather(self._dispatcher, return_exceptions=True)
+            self._executor.shutdown(wait=False, cancel_futures=True)
+            if self._pool is not None:
+                self._pool.terminate()
+            self.store.abort()
             return
-        self._draining = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        # let already-admitted compress requests flow through the dispatcher
-        if self._queue is not None:
-            await self._queue.put(None)  # dispatcher shutdown sentinel
-        if self._dispatcher is not None:
-            await self._dispatcher
-        if self._tasks:
-            await asyncio.gather(*list(self._tasks), return_exceptions=True)
+        await self._queue.put(None)  # dispatcher shutdown sentinel
+        await self._dispatcher
         if self._pool is not None:
             self._pool.close()
         self._executor.shutdown(wait=True)
         self.store.close()
-        self._stopped.set()
 
-    async def abort(self) -> None:
-        """Hard kill (tests/fault injection): die without draining.
-
-        The listener closes, in-flight work is cancelled, and the store is
-        *aborted* — its spill container is left footerless with only the
-        journal describing it, exactly the disk state a SIGKILLed process
-        leaves.  A successor server over the same spill path must come
-        back through the salvage/recovery path (``spill_recover=True``).
-        """
-        if self._draining:
-            return
-        self._draining = True
-        if self._server is not None:
-            self._server.close()
-        # RST every live connection — peers see the same abrupt reset a
-        # SIGKILLed process would give them, with no drain and no goodbye
-        for writer in list(self._conns):
-            transport = writer.transport
-            if transport is not None:
-                transport.abort()
-        if self._dispatcher is not None:
-            self._dispatcher.cancel()
-        for task in list(self._tasks):
-            task.cancel()
-        pending = [t for t in (*self._tasks, self._dispatcher) if t is not None]
-        if pending:  # let cancellations unwind while the loop still runs
-            await asyncio.gather(*pending, return_exceptions=True)
-        self._executor.shutdown(wait=False, cancel_futures=True)
-        if self._pool is not None:
-            self._pool.terminate()
-        self.store.abort()
-        self._stopped.set()
-
-    # -- connection handling ---------------------------------------------------
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        write_lock = asyncio.Lock()
-        self._conns.add(writer)
-        try:
-            while True:
-                try:
-                    frame = await protocol.read_frame_async(
-                        reader, self.config.max_payload_bytes
-                    )
-                except ProtocolError as exc:
-                    # Structured refusal, then hang up: after a framing error
-                    # the byte stream can no longer be trusted.
-                    self._count("service.protocol_errors")
-                    await self._write(
-                        writer, write_lock,
-                        protocol.encode_error(None, "PROTOCOL", str(exc)),
-                    )
-                    break
-                if frame is None:  # clean disconnect
-                    break
-                header, payload = frame
-                refusal = self._admission_check(header, payload)
-                if refusal is not None:
-                    await self._write(writer, write_lock, refusal)
-                    continue
-                # account in-flight bytes at admission, not inside the task:
-                # several frames can arrive in one event-loop tick, and the
-                # gate must see each other's bytes before any task runs
-                self._inflight_bytes += len(payload)
-                task = asyncio.ensure_future(
-                    self._serve_request(header, payload, writer, write_lock)
-                )
-                self._tasks.add(task)
-                task.add_done_callback(self._tasks.discard)
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            self._conns.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
-
-    def _admission_check(self, header: dict, payload: bytes) -> bytes | None:
+    def _admit(self, header: dict, payload: bytes) -> bytes | None:
         """Backpressure gate; returns a refusal frame or ``None`` to admit."""
         req_id = header.get("id")
-        if self._draining:
-            return protocol.encode_error(
-                req_id, "SHUTTING_DOWN", "server is draining", retry_after_s=0.2
-            )
         if self._inflight_bytes + len(payload) > self.config.max_inflight_bytes:
             self._count("service.busy")
             return protocol.encode_error(
@@ -330,44 +215,6 @@ class CompressionServer:
                 retry_after_s=0.05,
             )
         return None
-
-    async def _write(self, writer, lock: asyncio.Lock, frame) -> None:
-        """Write one frame — ``bytes`` or a writev-style parts list.
-
-        Parts go out via ``writelines`` so a bulk payload (a codec blob, a
-        decompressed array's memoryview) is never concatenated with its
-        header; the transport scatter-gathers straight from the source
-        buffers.
-        """
-        parts = frame if isinstance(frame, list) else [frame]
-        nbytes = sum(
-            p.nbytes if isinstance(p, memoryview) else len(p) for p in parts
-        )
-        async with lock:
-            writer.writelines(parts)
-            await writer.drain()
-        self._count("service.bytes_out", nbytes)
-
-    async def _serve_request(
-        self, header: dict, payload: bytes, writer, write_lock: asyncio.Lock
-    ) -> None:
-        op = header.get("op")
-        req_id = header.get("id")
-        t0 = time.perf_counter()
-        try:
-            reply = await self._dispatch(header, payload)
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:
-            reply = self._error_reply(req_id, exc)
-        finally:
-            self._inflight_bytes -= len(payload)
-        wall = time.perf_counter() - t0
-        self._record_request(op, wall, len(payload))
-        try:
-            await self._write(writer, write_lock, reply)
-        except (ConnectionError, OSError):
-            pass  # client went away; the work is already accounted
 
     def _error_reply(self, req_id, exc: Exception) -> bytes:
         if isinstance(exc, ParameterError):
@@ -398,19 +245,15 @@ class CompressionServer:
                 "attrs": {"op": op or "unknown", "bytes_in": bytes_in},
             }])
 
-    @staticmethod
-    def _count(name: str, n: int = 1) -> None:
-        if telemetry.is_enabled():
-            _METRICS.counter(name).add(n)
+    def _count_wire(self, event: str, n: int = 1) -> None:
+        self._count(f"service.{event}", n)
 
     # -- request dispatch ------------------------------------------------------
 
     async def _dispatch(self, header: dict, payload: bytes) -> bytes:
         op = header.get("op")
         req_id = header.get("id")
-        params = header.get("params") or {}
-        if not isinstance(params, dict):
-            raise ParameterError("request params must be a JSON object")
+        params = self._params(header)
         if header.get("route"):  # forwarded to us by a cluster gateway
             self._count("service.forwarded")
         if op == "health":
@@ -701,81 +544,9 @@ class _Deadline(ServiceError):
     """Internal marker: a queued request expired (wire code ``DEADLINE``)."""
 
 
-# ---------------------------------------------------------------------------
-# thread-hosted server (tests, benchmarks, notebooks)
-
-
-class ServerHandle:
-    """A running server hosted on a background thread.
-
-    ``host``/``port`` identify the live endpoint; :meth:`stop` drains it
-    and joins the thread.  Context-manager use guarantees cleanup.
-    """
-
-    def __init__(self, server: CompressionServer, loop: asyncio.AbstractEventLoop,
-                 thread: threading.Thread) -> None:
-        self.server = server
-        self.host = server.config.host
-        self.port = server.port
-        self._loop = loop
-        self._thread = thread
-
-    def stop(self, timeout: float = 30.0) -> None:
-        if self._thread.is_alive():
-            asyncio.run_coroutine_threadsafe(self.server.stop(), self._loop).result(
-                timeout
-            )
-            self._thread.join(timeout)
-
-    def kill(self, timeout: float = 10.0) -> None:
-        """Hard-kill the hosted server: no drain, no container footer.
-
-        The crash analogue of :meth:`stop` — see
-        :meth:`CompressionServer.abort`.  Used by the cluster fault tests
-        to simulate shard death without burning a subprocess.
-        """
-        if self._thread.is_alive():
-            asyncio.run_coroutine_threadsafe(
-                self.server.abort(), self._loop
-            ).result(timeout)
-            self._thread.join(timeout)
-
-    def __enter__(self) -> "ServerHandle":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.stop()
-
-
 def serve_in_thread(config: ServerConfig | None = None,
-                    start_timeout: float = 30.0) -> ServerHandle:
-    """Start a :class:`CompressionServer` on a daemon thread; returns a
-    :class:`ServerHandle` once the port is bound and accepting."""
-    server = CompressionServer(config)
-    started = threading.Event()
-    boot_error: list[BaseException] = []
-
-    def run() -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        holder["loop"] = loop
-        try:
-            loop.run_until_complete(server.start())
-        except BaseException as exc:  # surface bind/codec failures to caller
-            boot_error.append(exc)
-            started.set()
-            return
-        started.set()
-        try:
-            loop.run_until_complete(server._stopped.wait())
-        finally:
-            loop.close()
-
-    holder: dict = {}
-    thread = threading.Thread(target=run, name="pastri-serve", daemon=True)
-    thread.start()
-    if not started.wait(start_timeout):
-        raise ServiceError("server failed to start within the timeout")
-    if boot_error:
-        raise boot_error[0]
-    return ServerHandle(server, holder["loop"], thread)
+                    start_timeout: float = 30.0) -> EndpointHandle:
+    """Start a :class:`CompressionServer` on a daemon thread; returns its
+    handle (:class:`~repro.service.endpoint.EndpointHandle`) once the
+    port is bound and accepting."""
+    return host_in_thread(CompressionServer(config), start_timeout)

@@ -82,7 +82,6 @@ __all__ = [
     "read_stream_header",
     "compress_dataset_to_file",
     "decompress_file",
-    "write_v1_stream",
     "walk_frames",
     "salvage_container",
 ]
@@ -1258,33 +1257,6 @@ def compress_stream(
         for chunk in chunks:
             w.append(chunk)
     return w.summary
-
-
-def write_v1_stream(
-    chunks: Iterable[np.ndarray],
-    codec: Codec,
-    error_bound: float,
-    fh: BinaryIO,
-) -> StreamSummary:
-    """Write a *legacy v1* stream (no index, no checksums, no codec spec).
-
-    Kept for compatibility testing and for interop with pre-v2 readers; new
-    code should use :func:`compress_stream` / :class:`ContainerWriter`.
-    """
-    name = codec.name.encode("utf-8")
-    fh.write(_MAGIC + struct.pack("<BB", _V1, len(name)) + name)
-    n = orig = comp = 0
-    header_bytes = 4 + 2 + len(name)
-    for chunk in chunks:
-        chunk = np.ascontiguousarray(chunk, dtype=np.float64)
-        blob = codec.compress(chunk, error_bound)
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        n += 1
-        orig += chunk.nbytes
-        comp += len(blob) + 8
-    fh.write(struct.pack("<Q", 0))
-    return StreamSummary(n, orig, comp + header_bytes + 8)
 
 
 def compress_dataset_to_file(

@@ -21,6 +21,7 @@ import pytest
 from repro import telemetry
 from repro.cluster import LocalFleet
 from repro.errors import RemoteError
+from tests.service.test_server import assert_drain_closes_idle_client
 
 EB = 1e-10
 SHAPE = (4, 4, 4, 4)
@@ -66,7 +67,7 @@ class TestRouting:
                 assert np.max(np.abs(out - data)) <= EB
 
     def test_put_lands_on_the_preference_list(self, fleet):
-        ring = fleet.gateway.gateway.ring
+        ring = fleet.gateway.endpoint.ring
         with fleet.client() as c:
             blocks = _fill(c, 8)
         for key in blocks:
@@ -80,7 +81,7 @@ class TestRouting:
                             sc.get(key)
 
     def test_replicas_hold_identical_bytes(self, fleet):
-        ring = fleet.gateway.gateway.ring
+        ring = fleet.gateway.endpoint.ring
         with fleet.client() as c:
             c.put(("blk", 0), _block(0))
         a, b = ring.preference(("blk", 0), 2)
@@ -179,3 +180,8 @@ class TestStats:
         assert sorted(h["shards_up"]) == [s.name for s in fleet.specs]
         assert h["shards_down"] == []
         assert h["hints_pending"] == 0
+
+
+class TestLifecycle:
+    def test_drain_closes_idle_connections(self, fleet):
+        assert_drain_closes_idle_client(fleet.gateway)

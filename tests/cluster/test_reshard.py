@@ -81,7 +81,7 @@ class TestAddShard:
             with fleet.client() as c:
                 for key, data in blocks.items():
                     c.put(key, data)
-            gw = fleet.gateway.gateway
+            gw = fleet.gateway.endpoint
             before = {}
             for key in blocks:
                 owner = gw.ring.primary(key)
@@ -150,7 +150,7 @@ class TestRemoveShard:
             assert summary["action"] == "remove"
             assert "shard-01" not in summary["members"]
             assert summary["copy_failures"] == 0
-            gw = fleet.gateway.gateway
+            gw = fleet.gateway.endpoint
             assert "shard-01" not in gw.ring
             assert "shard-01" not in gw._addrs
             with fleet.client() as c:

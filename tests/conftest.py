@@ -61,3 +61,19 @@ def small_shell_basis():
 @pytest.fixture(scope="session")
 def eri_engine(small_shell_basis):
     return ERIEngine(small_shell_basis)
+
+
+#: directories whose tests must leave no unraisable exception behind
+_TEARDOWN_GATED = ("tests/service/", "tests/cluster/")
+
+
+def pytest_collection_modifyitems(items):
+    """Teardown gate: an unraisable exception in a service or cluster test
+    (a connection outliving its event loop: "Event loop is closed", a
+    pending task destroyed) fails the test instead of warning."""
+    mark = pytest.mark.filterwarnings(
+        "error::pytest.PytestUnraisableExceptionWarning"
+    )
+    for item in items:
+        if item.nodeid.startswith(_TEARDOWN_GATED):
+            item.add_marker(mark)

@@ -50,6 +50,16 @@ def test_bad_magic_rejected():
         fmt.read_header(BitReader(bytes(blob)))
 
 
+@pytest.mark.parametrize("bad", [0, *range(6, 16)])
+def test_bad_tree_id_rejected(bad):
+    w = BitWriter()
+    fmt.write_header(w, make_header())
+    blob = bytearray(w.getvalue())
+    blob[5] = (bad << 4) | (blob[5] & 0x0F)  # tree_id: high nibble of byte 5
+    with pytest.raises(FormatError, match=f"bad tree id {bad}"):
+        fmt.read_header(BitReader(bytes(blob)))
+
+
 def test_bad_version_rejected():
     w = BitWriter()
     fmt.write_header(w, make_header())

@@ -283,6 +283,15 @@ def test_corrupt_ecb_raises_format_error(index_pass_impl, sparse, bad):
         PaSTRICompressor(dims=(1, 2, 2, 3)).decompress(blob)
 
 
+@pytest.mark.parametrize("bad", [0, *range(6, 16)])
+def test_corrupt_tree_id_raises_format_error(index_pass_impl, bad):
+    good = build_blob((1, 2, 2, 3), 5, [("pat", 3, np.arange(8), 4, False, [1] * 12)])
+    blob = bytearray(good)
+    blob[5] = (bad << 4) | (blob[5] & 0x0F)  # tree_id: high nibble of byte 5
+    with pytest.raises(FormatError, match=f"bad tree id {bad}"):
+        PaSTRICompressor(dims=(1, 2, 2, 3)).decompress(bytes(blob))
+
+
 # ---------------------------------------------------------------------------
 # Corruption parity: truncations and bit flips.
 

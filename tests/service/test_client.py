@@ -1,7 +1,9 @@
 """Client-side behavior: retry policy math, reconnects, error surfacing."""
 
+import asyncio
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from repro.errors import (
     ServerBusyError,
 )
 from repro.service import (
+    AsyncServiceClient,
     RetryPolicy,
     ServerConfig,
     ServiceClient,
@@ -156,7 +159,11 @@ class TestRetryBehavior:
             h2 = serve_in_thread(cfg2)
             try:
                 data = np.linspace(0.0, 1.0, 16)
+                t0 = time.monotonic()
                 blob, info = c.compress(data, EB)
+                # the drain closed the old connection, so the client sees
+                # EOF at once instead of waiting out its socket timeout
+                assert time.monotonic() - t0 < 5.0
                 assert info["n"] == 16
                 np.testing.assert_allclose(c.decompress(blob), data, atol=EB)
             finally:
@@ -203,6 +210,56 @@ class TestRetryBehavior:
         finally:
             srv.close()
             t.join(timeout=5)
+
+
+async def _echo_handler(reader, writer):
+    """Replies ``{"echo": params}``; a request keyed "slow" waits 0.5 s."""
+    try:
+        while True:
+            frame = await protocol.read_frame_async(reader)
+            if frame is None:
+                break
+            header, _payload = frame
+            params = header.get("params") or {}
+            if params.get("key") == "slow":
+                await asyncio.sleep(0.5)
+            writer.write(
+                protocol.encode_response(header.get("id"), {"echo": params})
+            )
+            await writer.drain()
+    except (ConnectionError, asyncio.CancelledError):
+        pass
+    finally:
+        writer.close()
+
+
+class TestAsyncCancellation:
+    """A cancelled ``AsyncServiceClient`` call must not leave its reply
+    behind on the connection for the next call to read."""
+
+    def test_next_call_after_cancellation_gets_its_own_reply(self):
+        async def run():
+            server = await asyncio.start_server(_echo_handler, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            block = np.zeros(4)
+            c = AsyncServiceClient("127.0.0.1", port,
+                                   retry=RetryPolicy(max_retries=0))
+            try:
+                assert (await c.put("warm", block))["echo"]["key"] == "warm"
+                # cancel mid-response-wait: the server still writes the
+                # reply for this request onto the connection later
+                task = asyncio.ensure_future(c.put("slow", block))
+                await asyncio.sleep(0.1)
+                task.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await task
+                assert (await c.put("next", block))["echo"]["key"] == "next"
+            finally:
+                await c.close()
+                server.close()
+                await server.wait_closed()
+
+        asyncio.run(run())
 
 
 class TestBufferReuse:

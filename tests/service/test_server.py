@@ -8,6 +8,7 @@ under saturation with backoff eventually succeeding, and non-empty
 ``service.*`` counters from the ``metrics`` op.
 """
 
+import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -22,7 +23,13 @@ from repro.errors import (
     ParameterError,
     ServerBusyError,
 )
-from repro.service import RetryPolicy, ServerConfig, ServiceClient, serve_in_thread
+from repro.service import (
+    RetryPolicy,
+    ServerConfig,
+    ServiceClient,
+    protocol,
+    serve_in_thread,
+)
 from repro.service.client import AsyncServiceClient
 from tests.conftest import make_patterned_stream
 
@@ -266,7 +273,28 @@ class TestBackpressure:
         assert "deadline" in outcomes
 
 
+def assert_drain_closes_idle_client(handle) -> None:
+    """``handle.stop()`` returns within 1 s and an idle client reads EOF.
+
+    The client completes one round trip first, so its connection is
+    accepted and registered before the drain starts; it then sends
+    nothing more.
+    """
+    with socket.create_connection((handle.host, handle.port), timeout=5.0) as sock:
+        sock.sendall(protocol.encode_request("health", 1))
+        reply = protocol.read_frame(sock.makefile("rb"))
+        assert reply is not None and reply[0]["ok"]
+        t0 = time.monotonic()
+        handle.stop()
+        assert time.monotonic() - t0 < 1.0
+        sock.settimeout(1.0)
+        assert sock.recv(1) == b""  # EOF, not a hang until the timeout
+
+
 class TestDrain:
+    def test_drain_closes_idle_connections(self):
+        assert_drain_closes_idle_client(serve_in_thread(_config()))
+
     def test_graceful_drain_finishes_admitted_work(self):
         cfg = _config()
         h = serve_in_thread(cfg)

@@ -17,9 +17,9 @@ from repro.streamio import (
     compress_stream,
     decompress_file,
     open_container,
-    write_v1_stream,
 )
 from repro.sz import SZCompressor
+from tests.v1_oracle import write_v1_stream
 
 EB = 1e-10
 DATA_DIR = Path(__file__).parent / "data"

@@ -20,9 +20,9 @@ from repro.streamio import (
     decompress_file,
     decompress_stream,
     read_stream_header,
-    write_v1_stream,
 )
 from repro.sz import SZCompressor
+from tests.v1_oracle import write_v1_stream
 
 EB = 1e-10
 
