@@ -50,8 +50,9 @@ serve-smoke:
 fsck-smoke:
 	timeout 120 $(PY) scripts/fsck_smoke.py
 
-## Spill-store perf gate: a fixed-seed reuse workload run under the
-## pre-overhaul LRU config and the 2Q/mmap/readahead path.  Fails unless
+## Spill-store perf gate: a fixed-seed reuse workload run over the
+## pre-overhaul LRU oracle backend (tests/pipeline/lru_baseline.py) and
+## the store's 2Q/mmap/readahead path.  Fails unless
 ## the overhauled path is >=3x faster with >=4x fewer disk reads, the
 ## ratio is untouched, and a compacted container recovers every frame.
 store-bench-smoke:

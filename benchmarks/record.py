@@ -447,25 +447,24 @@ def _run(reps: int) -> dict:
             os.unlink(tmp)
 
     # Spill-store reuse (the PR 6 read-path overhaul): the same 20-reuse
-    # workload under a 64 KB blob budget, run twice — once as the pre-PR
-    # baseline (plain LRU, forget-on-promote, seek+read, no array tier) and
-    # once with the overhauled path (scan-resistant 2Q tiers, retained
-    # on-disk records, mmap frame reads, class-adjacent readahead) — so the
-    # JSON carries its own A/B comparison with per-tier traffic breakdowns.
+    # workload under a 64 KB blob budget, run twice — once over the
+    # pre-overhaul baseline backend kept as a test oracle (plain LRU,
+    # forget-on-promote, seek+read, no array tier) and once with the
+    # store's own path (scan-resistant 2Q tiers, retained on-disk records,
+    # mmap frame reads, class-adjacent readahead) — so the JSON carries its
+    # own A/B comparison with per-tier traffic breakdowns.
     from repro.pipeline.store import CompressedERIStore, ContainerBackend
+    from tests.pipeline.lru_baseline import LRUSpillBackend
 
     n_blocks = data.size // ds.spec.block_size
     blocks = data[: n_blocks * ds.spec.block_size].reshape(n_blocks, -1)
 
-    def spill_workload(tag: str, **store_kwargs) -> dict:
-        backend_kwargs = store_kwargs.pop("backend_kwargs")
+    def spill_workload(tag: str, backend_cls, **store_kwargs) -> dict:
         spill_path = tempfile.mktemp(suffix=".pstf")
         store = CompressedERIStore(
             PaSTRICompressor(config="(dd|dd)"),
             EB,
-            backend=ContainerBackend(
-                spill_path, memory_budget_bytes=64 << 10, **backend_kwargs
-            ),
+            backend=backend_cls(spill_path, memory_budget_bytes=64 << 10),
             **store_kwargs,
         )
         try:
@@ -509,15 +508,10 @@ def _run(reps: int) -> dict:
                 if os.path.exists(leftover):
                     os.unlink(leftover)
 
-    spill_baseline = spill_workload(
-        "baseline_lru",
-        backend_kwargs={
-            "policy": "lru", "use_mmap": False, "retain_spills": False,
-        },
-    )
+    spill_baseline = spill_workload("baseline_lru", LRUSpillBackend)
     spill_overhauled = spill_workload(
         "overhauled",
-        backend_kwargs={"policy": "2q", "use_mmap": True},
+        ContainerBackend,
         hot_cache_bytes=6 << 20,
         readahead_depth=4,
     )
@@ -638,12 +632,15 @@ def _run(reps: int) -> dict:
                 "n_uses": REUSE_COUNT,
             },
             "baseline_lru": {
-                "config": "policy=lru, forget-on-promote, seek+read, no array tier",
+                "config": (
+                    "tests/pipeline/lru_baseline.py: plain LRU, "
+                    "forget-on-promote, seek+read, no array tier"
+                ),
                 **spill_baseline,
             },
             "overhauled": {
                 "config": (
-                    "policy=2q, retained on-disk records, mmap reads, "
+                    "2q tiers, retained on-disk records, mmap reads, "
                     "hot_cache_bytes=6MB, readahead_depth=4"
                 ),
                 **spill_overhauled,

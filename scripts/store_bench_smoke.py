@@ -1,10 +1,11 @@
 """CI gate for the spill-store read path (``make store-bench-smoke``).
 
 Runs a fixed-seed spill-heavy reuse workload twice over the same data —
-once with the pre-overhaul configuration (plain LRU, forget-on-promote,
-seek+read, no decompressed-array tier) and once with the overhauled path
-(2Q tiers, retained on-disk records, mmap reads, readahead) — and fails
-unless:
+once over the pre-overhaul baseline backend (plain LRU, forget-on-promote,
+seek+read, no decompressed-array tier), which lives with the tests as an
+oracle (``tests/pipeline/lru_baseline.py``), and once over the store's
+own path (2Q tiers, retained on-disk records, mmap reads, readahead) —
+and fails unless:
 
 * the overhauled amortized throughput is >= 3x the LRU baseline,
 * disk reads drop by >= 4x,
@@ -25,11 +26,13 @@ import time
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO, "src"))
+sys.path.insert(0, REPO)
 
 import numpy as np  # noqa: E402
 
 from repro.core import PaSTRICompressor  # noqa: E402
 from repro.pipeline import CompressedERIStore, ContainerBackend  # noqa: E402
+from tests.pipeline.lru_baseline import LRUSpillBackend  # noqa: E402
 
 EB = 1e-10
 DIMS = (6, 6, 6, 6)
@@ -47,14 +50,12 @@ def make_blocks():
     return [rng.standard_normal(BLOCK) * 1e-7 for _ in range(N_BLOCKS)]
 
 
-def run(tag, blocks, backend_kwargs, **store_kwargs):
+def run(tag, blocks, backend_cls, **store_kwargs):
     path = tempfile.mktemp(suffix=".pstf")
     store = CompressedERIStore(
         PaSTRICompressor(dims=DIMS),
         EB,
-        backend=ContainerBackend(
-            path, memory_budget_bytes=16 << 10, **backend_kwargs
-        ),
+        backend=backend_cls(path, memory_budget_bytes=16 << 10),
         **store_kwargs,
     )
     try:
@@ -93,18 +94,14 @@ def main() -> int:
     blocks = make_blocks()
     print(f"spill workload: {N_BLOCKS} blocks x {N_USES} uses, 16 KB blob budget")
 
-    baseline, b_store, b_path = run(
-        "baseline-lru",
-        blocks,
-        {"policy": "lru", "use_mmap": False, "retain_spills": False},
-    )
+    baseline, b_store, b_path = run("baseline-lru", blocks, LRUSpillBackend)
     b_store.close()
     _cleanup(b_path)
 
     overhauled, store, path = run(
         "overhauled",
         blocks,
-        {"policy": "2q", "use_mmap": True},
+        ContainerBackend,
         hot_cache_bytes=2 << 20,
         readahead_depth=4,
     )

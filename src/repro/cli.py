@@ -360,7 +360,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         hot_cache_blocks=args.hot_cache,
         hot_cache_bytes=int(args.hot_cache_mb * (1 << 20)),
         readahead=args.readahead,
-        store_policy=args.store_policy,
     )
 
     async def _run() -> None:
@@ -935,9 +934,6 @@ def main(argv: list[str] | None = None) -> int:
     sv.add_argument("--readahead", type=int, default=2,
                     help="blocks to speculatively decode after a store "
                          "miss (0 disables readahead)")
-    sv.add_argument("--store-policy", choices=("2q", "lru"), default="2q",
-                    help="store cache admission policy (lru = the "
-                         "pre-overhaul baseline)")
     sv.set_defaults(func=cmd_serve)
 
     rm = sub.add_parser("remote", help="talk to a running compression service")

@@ -37,9 +37,7 @@ The invariant ``total_cost <= budget`` holds after every mutation.
 Entries the owner cannot afford to drop silently (dirty blobs that have
 never been spilled) are flagged at insert time; they bypass the admission
 filter and are handed to ``on_discard`` when they leave, so the owner can
-spill them.  ``policy="lru"`` degrades the whole structure to the exact
-pre-overhaul plain LRU — kept as the A/B baseline for benchmarks and the
-``store-bench-smoke`` CI gate.
+spill them.
 """
 
 from __future__ import annotations
@@ -126,10 +124,6 @@ class SegmentedCache:
         Called as ``on_discard(key, value)`` for every entry that leaves
         the cache for capacity reasons (evicted *or* refused admission).
         Not called for explicit :meth:`pop`.
-    policy:
-        ``"2q"`` (default) for the scan-resistant policy described in the
-        module docstring; ``"lru"`` for a plain LRU over the same byte
-        budget (the pre-overhaul baseline).
     """
 
     def __init__(
@@ -138,14 +132,10 @@ class SegmentedCache:
         *,
         sizeof: Callable = len,
         on_discard: Callable | None = None,
-        policy: str = "2q",
     ) -> None:
         if budget < 0:
             raise ParameterError("cache budget must be >= 0")
-        if policy not in ("2q", "lru"):
-            raise ParameterError(f"unknown cache policy {policy!r}")
         self.budget = int(budget)
-        self.policy = policy
         self._sizeof = sizeof
         self._on_discard = on_discard
         self.stats = CacheTierStats()
@@ -193,20 +183,8 @@ class SegmentedCache:
 
     # -- core operations -----------------------------------------------------
 
-    def record_access(self, key) -> None:
-        """Feed the frequency filter without a lookup (owner bookkeeping)."""
-        if self.policy == "2q":
-            self._freq.record(key)
-
     def get(self, key):
         """Return the cached value, or ``None``; updates recency + frequency."""
-        if self.policy == "lru":
-            if key in self._window:
-                self._window.move_to_end(key)
-                self.stats.hits += 1
-                return self._window[key]
-            self.stats.misses += 1
-            return None
         self._freq.record(key)
         if key in self._window:
             self._window.move_to_end(key)
@@ -237,11 +215,6 @@ class SegmentedCache:
         self._sizes[key] = size
         if sticky:
             self._sticky.add(key)
-        if self.policy == "lru":
-            self._window[key] = value
-            self._bytes += size
-            self._shrink_lru()
-            return
         self._freq.record(key)
         self._window[key] = value
         self._bytes += size
@@ -277,20 +250,14 @@ class SegmentedCache:
         if self._on_discard is not None:
             self._on_discard(key, value)
 
-    def _drop(self, seg: OrderedDict, key, *, rejected: bool = False) -> None:
+    def _drop(self, seg: OrderedDict, key) -> None:
+        """Evict ``key`` from a main-region segment (probation/protected)."""
         size = self._sizes.pop(key)
         self._sticky.discard(key)
         self._bytes -= size
-        if seg is self._window:
-            self._window_bytes -= size
-        elif seg is self._protected:
+        if seg is self._protected:
             self._protected_bytes -= size
-        self._discard(key, seg.pop(key), rejected=rejected)
-
-    def _shrink_lru(self) -> None:
-        while self._bytes > self.budget and self._window:
-            key = next(iter(self._window))
-            self._drop(self._window, key)
+        self._discard(key, seg.pop(key))
 
     def _promote(self, key, value) -> None:
         """probation -> protected, demoting protected overflow back."""

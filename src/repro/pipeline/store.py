@@ -55,7 +55,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro import api
 from repro.api import Codec
 from repro.errors import ChecksumError, FormatError, ParameterError, ReproError
 from repro.pipeline.cache import SegmentedCache
@@ -250,10 +249,6 @@ class ContainerBackend:
     is rewritten *before* the footer is truncated for resumed appends, so
     any crash point leaves either a self-describing container or a
     salvageable journal+frames pair.
-
-    ``policy="lru"`` and ``retain_spills=False`` together reproduce the
-    pre-overhaul store (plain LRU, forget-on-promote, per-eviction
-    flushes) — kept as the A/B baseline for ``make store-bench-smoke``.
     """
 
     def __init__(
@@ -263,9 +258,6 @@ class ContainerBackend:
         *,
         recover: bool = True,
         fsync: bool = False,
-        policy: str = "2q",
-        use_mmap: bool = True,
-        retain_spills: bool = True,
     ) -> None:
         if memory_budget_bytes < 0:
             raise ParameterError("memory_budget_bytes must be >= 0")
@@ -275,13 +267,10 @@ class ContainerBackend:
         self.stats: StoreStats | None = None  # bound by the store
         self._recover = bool(recover)
         self._fsync = bool(fsync)
-        self._use_mmap = bool(use_mmap)
-        self._retain_spills = bool(retain_spills)
         self._hot = SegmentedCache(
             self.memory_budget_bytes,
             sizeof=lambda e: len(e.blob),
             on_discard=self._on_blob_discard,
-            policy=policy,
         )
         #: key -> (frame offset, length, crc, dims, nbytes): every key with a
         #: clean copy on disk (possibly *also* resident in the hot cache)
@@ -291,7 +280,6 @@ class ContainerBackend:
         self._dead_bytes = 0  # orphaned frame payload awaiting compaction
         self._writer: ContainerWriter | None = None
         self._write_fh = None
-        self._read_fh = None
         self._map: FrameMap | None = None
         self._journal_fh = None
         self._codec: Codec | None = None
@@ -423,32 +411,12 @@ class ContainerBackend:
         self._journal_fh.flush()
 
     def _read_spilled(self, key) -> _Entry:
-        offset, length, crc, dims, nbytes = self._ondisk[key]
-        if self._use_mmap:
-            blob = self._mapped_frame(key, offset, length, crc)
-        else:
-            if self._read_fh is None:
-                if self._write_fh is not None:
-                    self._write_fh.flush()
-                self._read_fh = open(self.path, "rb")
-            self._read_fh.seek(offset)
-            blob = self._read_fh.read(length)
-            if len(blob) != length:
-                raise FormatError(
-                    f"spill container truncated at frame for key {key!r}"
-                )
-            if zlib.crc32(blob) & 0xFFFFFFFF != crc:
-                raise ChecksumError(f"spill container CRC mismatch for key {key!r}")
-        if self.stats is not None:
-            self.stats.bump("disk_reads")
-        return _Entry(blob, nbytes, dims)
-
-    def _mapped_frame(self, key, offset: int, length: int, crc: int):
         """Zero-copy CRC-checked view of one spilled frame's payload."""
+        offset, length, crc, dims, nbytes = self._ondisk[key]
         if self._map is None:
             self._map = FrameMap(self.path)
         try:
-            return self._map.check(offset, length, crc)
+            blob = self._map.check(offset, length, crc)
         except ChecksumError:
             raise ChecksumError(
                 f"spill container CRC mismatch for key {key!r}"
@@ -457,6 +425,9 @@ class ContainerBackend:
             raise FormatError(
                 f"spill container truncated at frame for key {key!r}"
             ) from None
+        if self.stats is not None:
+            self.stats.bump("disk_reads")
+        return _Entry(blob, nbytes, dims)
 
     # -- compaction -----------------------------------------------------------
 
@@ -520,9 +491,6 @@ class ContainerBackend:
             self._write_fh.close()
             self._write_fh = None
         self._writer = None
-        if self._read_fh is not None:
-            self._read_fh.close()
-            self._read_fh = None
         if self._map is not None:
             self._map.invalidate()
         self._ondisk = {
@@ -727,13 +695,7 @@ class ContainerBackend:
         if self.stats is not None and (key in self._ondisk):
             self.stats.bump("blob_misses")
         entry = self._read_spilled(key)  # KeyError for unknown keys
-        if not self._retain_spills:
-            # legacy promote: forget the on-disk copy, re-spill on eviction
-            offset, length, crc, dims, nbytes = self._ondisk.pop(key)
-            self._dead_bytes += length
-            self._hot.put(key, entry, sticky=True)
-        else:
-            self._hot.put(key, entry)  # clean: on-disk record retained
+        self._hot.put(key, entry)  # clean: on-disk record retained
         self._flush_pending()
         return entry
 
@@ -772,8 +734,6 @@ class ContainerBackend:
             footered = True
         if self._write_fh is not None:
             self._write_fh.close()
-        if self._read_fh is not None:
-            self._read_fh.close()
         if self._map is not None:
             self._map.close()
             self._map = None
@@ -799,11 +759,11 @@ class ContainerBackend:
         self._closed = True
         self._pending.clear()
         self._writer = None
-        for fh in (self._write_fh, self._read_fh, self._journal_fh):
+        for fh in (self._write_fh, self._journal_fh):
             if fh is not None:
                 with contextlib.suppress(OSError, ValueError):
                     fh.close()
-        self._write_fh = self._read_fh = self._journal_fh = None
+        self._write_fh = self._journal_fh = None
         if self._map is not None:
             with contextlib.suppress(OSError, ValueError):
                 self._map.close()
@@ -857,8 +817,6 @@ class CompressedERIStore:
     hot_cache_bytes: int = 0
     #: keys to speculatively decode after an array-tier miss (0 = off)
     readahead_depth: int = 0
-    #: array-tier policy: "2q" (scan-resistant, default) or "lru" (baseline)
-    hot_cache_policy: str = "2q"
     _shaped: dict = field(default_factory=dict, repr=False)
     stats: StoreStats = field(default_factory=StoreStats)
     _hot_arrays: SegmentedCache | None = field(default=None, repr=False)
@@ -872,14 +830,12 @@ class CompressedERIStore:
                 self.hot_cache_bytes,
                 sizeof=lambda a: a.nbytes,
                 on_discard=self._on_array_discard,
-                policy=self.hot_cache_policy,
             )
         elif self.hot_cache_blocks > 0:
             self._hot_arrays = SegmentedCache(
                 self.hot_cache_blocks,
                 sizeof=lambda a: 1,
                 on_discard=self._on_array_discard,
-                policy=self.hot_cache_policy,
             )
         else:
             self._hot_arrays = None
@@ -1077,78 +1033,21 @@ class CompressedERIStore:
             self.stats.bump("cache_misses")
             entry = self.backend.get(key)  # KeyError for unknown keys
             self._decoding.add(key)
+        out = None
         try:
             out = self.codec.decompress(entry.blob)
         finally:
+            # one critical section: a reader woken here must find the array
+            # already cached, never an unclaimed slot it would decode again
             with self._cond:
+                self._cond.notify_all()
                 self._decoding.discard(key)
                 stale = key in self._decode_stale
                 self._decode_stale.discard(key)
-                self._cond.notify_all()
-        with self._cond:
-            if not stale:  # an overwrite raced the decode; don't cache it
-                self._array_insert(key, out)
-                if self.readahead_depth > 0:
-                    self._readahead_from(key)
-                self._cond.notify_all()
-        return out
-
-    def get_many(self, keys, n_workers: int = 1) -> list[np.ndarray]:
-        """Bulk fetch: hot-tier hits in place, misses decoded as one batch.
-
-        With ``n_workers > 1`` every miss blob goes through the persistent
-        shared worker pool in a single :meth:`~repro.parallel.pool.
-        CodecWorkerPool.decompress_batch` call — blobs travel to workers
-        over shared memory and large results ship back the same way, so a
-        bulk load (snapshot warm-up, an MP2 sweep over a stored tensor)
-        uses every core without pickling frame bytes.  Decoded arrays are
-        admitted to the array tier exactly like :meth:`get` misses;
-        the access-sequence profile is *not* fed (a bulk scan is not a
-        pattern worth learning).  Raises ``KeyError`` on the first unknown
-        key, before any decode runs.
-        """
-        keys = list(keys)
-        if n_workers <= 1 or len(keys) < 2:
-            return [self.get(k) for k in keys]
-        from repro.parallel.pool import shared_pool
-
-        out: list = [None] * len(keys)
-        miss_idx: list[int] = []
-        miss_blobs: list = []
-        with self._cond:
-            self.stats.bump("gets", len(keys))
-            for i, key in enumerate(keys):
-                hit = None
-                if self._hot_arrays is not None:
-                    hit = self._hot_arrays.get(key)
-                if hit is not None:
-                    self.stats.bump("cache_hits")
-                    if key in self._prefetched:
-                        self._prefetched.discard(key)
-                        self.stats.bump("readahead_useful")
-                    out[i] = hit
-                else:
-                    self.stats.bump("cache_misses")
-                    entry = self.backend.get(key)  # KeyError for unknown keys
-                    miss_idx.append(i)
-                    miss_blobs.append(entry.blob)
-        if miss_idx:
-            spec = api.codec_spec(self.codec)
-            pool = shared_pool(spec["name"], spec.get("kwargs"), n_workers)
-            arrays = pool.decompress_batch(miss_blobs)
-            with self._cond:
-                for i, arr in zip(miss_idx, arrays):
-                    out[i] = arr
-                    key = keys[i]
-                    # Admit unless a racing get() already cached / is
-                    # decoding this key (never double-account hot bytes).
-                    if (
-                        self._hot_arrays is not None
-                        and key not in self._decoding
-                        and self._hot_arrays.peek(key) is None
-                    ):
-                        self._array_insert(key, arr)
-                self._cond.notify_all()
+                if out is not None and not stale:  # stale: an overwrite raced
+                    self._array_insert(key, out)
+                    if self.readahead_depth > 0:
+                        self._readahead_from(key)
         return out
 
     def get_or_compute(self, key, compute, dims=None) -> np.ndarray:
@@ -1212,7 +1111,7 @@ class CompressedERIStore:
             c = self._hot_arrays
             unit = "B" if self.hot_cache_bytes > 0 else "blocks"
             lines.append(
-                f"  array tier [{c.policy}]: {c.bytes}/{c.budget} {unit} "
+                f"  array tier [2q]: {c.bytes}/{c.budget} {unit} "
                 f"({len(c)} blocks, {st.hot_bytes} B decompressed)"
             )
             lines.append(
@@ -1225,7 +1124,7 @@ class CompressedERIStore:
         hot = getattr(self.backend, "_hot", None)
         if isinstance(hot, SegmentedCache):
             lines.append(
-                f"  blob tier [{hot.policy}]: {hot.bytes}/{hot.budget} B "
+                f"  blob tier [2q]: {hot.bytes}/{hot.budget} B "
                 f"({len(hot)} blobs hot, "
                 f"{len(getattr(self.backend, '_ondisk', {}))} frames on disk)"
             )

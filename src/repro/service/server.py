@@ -98,8 +98,6 @@ class ServerConfig:
     hot_cache_bytes: int = 0
     #: speculative decodes after an array-tier miss (0 = off)
     readahead: int = 2
-    #: cache admission policy for both tiers: "2q" or "lru" (A/B baseline)
-    store_policy: str = "2q"
     #: idle seconds on the batch queue before the spill container is
     #: checked for compaction (0 disables idle compaction)
     idle_compact_s: float = 5.0
@@ -137,7 +135,6 @@ class CompressionServer(Endpoint):
                 self.config.spill_path,
                 memory_budget_bytes=self.config.memory_budget_bytes,
                 recover=self.config.spill_recover,
-                policy=self.config.store_policy,
             )
         self.store = CompressedERIStore(
             self.codec,
@@ -146,7 +143,6 @@ class CompressionServer(Endpoint):
             hot_cache_blocks=self.config.hot_cache_blocks,
             hot_cache_bytes=self.config.hot_cache_bytes,
             readahead_depth=self.config.readahead,
-            hot_cache_policy=self.config.store_policy,
         )
         self._queue: asyncio.Queue | None = None
         self._dispatcher: asyncio.Task | None = None

@@ -433,8 +433,9 @@ class FrameMap:
     mappings are released by reference counting, never closed eagerly, so
     views handed out earlier stay valid.
 
-    Not a reader — it knows offsets, not frames.  :class:`ContainerReader`
-    (``mmap=True``) and the spillable store's backend sit on top.
+    Not a reader — it knows offsets, not frames.  The spillable store's
+    backend and the pool workers of
+    :func:`repro.parallel.pool.parallel_decompress_container` sit on top.
     """
 
     def __init__(self, path: str) -> None:
@@ -649,17 +650,11 @@ class ContainerReader:
         *,
         codec: Codec | None = None,
         path: str | None = None,
-        use_mmap: bool = False,
         _owns_fh: bool = False,
     ) -> None:
         self.fh = fh
         self._owns_fh = _owns_fh
         self._path = path
-        self._map: FrameMap | None = None
-        if use_mmap:
-            if path is None:
-                raise ParameterError("mmap reads need a path-opened container")
-            self._map = FrameMap(path)
         self.version, self.codec_name, header = _read_header_info(fh)
         #: first byte after the container header (start of the frame region)
         self.data_start = fh.tell()
@@ -774,23 +769,8 @@ class ContainerReader:
         return [f.key for f in self.frames if f.key is not None]
 
     def read_blob(self, i: int) -> bytes:
-        """Read frame ``i``'s raw blob (CRC-verified on v2), nothing else.
-
-        With ``mmap=True`` the returned object is a zero-copy
-        :class:`memoryview` over the page cache instead of a fresh
-        ``bytes`` (both satisfy the buffer protocol; callers that need a
-        hashable key must wrap with ``bytes()``).
-        """
+        """Read frame ``i``'s raw blob (CRC-verified on v2), nothing else."""
         f = self.frames[i]
-        if self._map is not None:
-            if f.crc32 is not None:
-                blob = self._map.check(f.offset, f.length, f.crc32)
-            else:
-                blob = self._map.view(f.offset, f.length)
-            if _tstate.enabled:
-                _METRICS.counter("container.read.payload_bytes").add(f.length)
-                _METRICS.counter("container.read.frames").add(1)
-            return blob
         if _tstate.enabled:
             t0 = time.perf_counter()
             self.fh.seek(f.offset)
@@ -887,8 +867,6 @@ class ContainerReader:
         return self._path, (st.st_mtime_ns, st.st_size), self.codec_spec, list(self.frames)
 
     def close(self) -> None:
-        if self._map is not None:
-            self._map.close()
         if self._owns_fh:
             self.fh.close()
 
@@ -902,8 +880,6 @@ class ContainerReader:
 def open_container(
     path_or_fh: str | BinaryIO,
     codec: Codec | None = None,
-    *,
-    use_mmap: bool = False,
 ) -> ContainerReader:
     """Open a PSTF container for random access.
 
@@ -911,21 +887,15 @@ def open_container(
     spec and the footer index is verified and loaded.  v1 streams are
     opened through a compatibility path (sequential index scan, codec
     reconstructed best-effort from the header name, or pass ``codec=``).
-    ``use_mmap=True`` (path inputs only) serves ``read_blob`` as zero-copy
-    page-cache views through a :class:`FrameMap` instead of seek+read.
     """
     if isinstance(path_or_fh, (str, bytes, os.PathLike)):
         path = os.fsdecode(path_or_fh)
         fh = open(path, "rb")
         try:
-            return ContainerReader(
-                fh, codec=codec, path=path, use_mmap=use_mmap, _owns_fh=True
-            )
+            return ContainerReader(fh, codec=codec, path=path, _owns_fh=True)
         except Exception:
             fh.close()
             raise
-    if use_mmap:
-        raise ParameterError("use_mmap needs a path, not an open handle")
     return ContainerReader(path_or_fh, codec=codec)
 
 

@@ -1,8 +1,8 @@
 """Vectorised ZFP block encoding.
 
-The scalar plane coder (:mod:`repro.zfp.bitplane`) processes one block at a
-time in Python — the dominant cost of ZFP compression here.  This module
-produces *bit-identical* streams with numpy passes across all blocks:
+A scalar plane coder processes one block at a time in Python — the
+dominant cost of ZFP compression.  This module produces *bit-identical*
+streams with numpy passes across all blocks:
 
 * the per-plane emitted bits depend only on ``(n, plane_bits)``, where
   ``n`` is the count of already-significant values — and ``n`` at plane
@@ -15,8 +15,8 @@ produces *bit-identical* streams with numpy passes across all blocks:
 * per-block token runs scatter into one global (codes, lengths) array,
   written with a single ``BitWriter.write_varlen_array``.
 
-Equality with the scalar coder is enforced by tests
-(`tests/zfp/test_vectorized.py`).
+Equality with the scalar reference coder (``tests/zfp/reference.py``) is
+enforced by tests (``tests/zfp/test_vectorized.py``).
 """
 
 from __future__ import annotations
@@ -139,9 +139,11 @@ _DEC_LIST = [row.tolist() for row in _DEC]  # Python-int lookups are faster
 
 
 def decode_block_fast(payload: int, payload_bits: int, top_plane: int, maxprec: int) -> tuple[tuple[int, int, int, int], int]:
-    """Table-driven equivalent of :func:`repro.zfp.bitplane.decode_block`.
+    """Decode one block; returns ``(values, bits_consumed)``.
 
-    One table lookup per plane replaces the per-bit loop.
+    ``payload`` holds at least the block's bits, MSB-first, with the first
+    bit at position ``payload_bits - 1``.  One table lookup per plane
+    replaces the reference coder's per-bit loop.
     """
     padded = payload << TOKEN_WINDOW
     pos = payload_bits

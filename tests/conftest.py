@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -63,17 +65,49 @@ def eri_engine(small_shell_basis):
     return ERIEngine(small_shell_basis)
 
 
-#: directories whose tests must leave no unraisable exception behind
-_TEARDOWN_GATED = ("tests/service/", "tests/cluster/")
+#: test paths that must close every file handle they open (tests/faults/
+#: is out: it leaves handles open on purpose to simulate kills)
+_RESOURCE_GATED = (
+    "tests/pipeline/",
+    "tests/zfp/",
+    "tests/test_streamio.py",
+    "tests/test_container.py",
+    "tests/test_container_truncation.py",
+)
+#: test paths that must leave no unraisable exception behind
+_TEARDOWN_GATED = ("tests/service/", "tests/cluster/") + _RESOURCE_GATED
 
 
 def pytest_collection_modifyitems(items):
-    """Teardown gate: an unraisable exception in a service or cluster test
-    (a connection outliving its event loop: "Event loop is closed", a
-    pending task destroyed) fails the test instead of warning."""
-    mark = pytest.mark.filterwarnings(
+    """Teardown gate: an unraisable exception in a gated test (a connection
+    outliving its event loop: "Event loop is closed", a pending task
+    destroyed) fails the test instead of warning; in the resource-gated
+    paths so does a ResourceWarning (an unclosed file or socket)."""
+    unraisable = pytest.mark.filterwarnings(
         "error::pytest.PytestUnraisableExceptionWarning"
     )
+    resource = pytest.mark.filterwarnings("error::ResourceWarning")
     for item in items:
         if item.nodeid.startswith(_TEARDOWN_GATED):
-            item.add_marker(mark)
+            item.add_marker(unraisable)
+        if item.nodeid.startswith(_RESOURCE_GATED):
+            item.add_marker(resource)
+
+
+@pytest.hookimpl(wrapper=True, tryfirst=True)
+def pytest_runtest_protocol(item, nextitem):
+    """Before a resource-gated test, and outside its warning filters,
+    collect the cyclic garbage earlier tests left: a handle leaked
+    elsewhere must not fail whichever gated test the collector runs in."""
+    if item.nodeid.startswith(_RESOURCE_GATED):
+        gc.collect()
+    return (yield)
+
+
+@pytest.fixture(autouse=True)
+def _collect_own_garbage(request):
+    """After a resource-gated test, inside its warning filters, collect its
+    cyclic garbage: a handle the test leaked in a reference cycle fails it."""
+    yield
+    if request.node.nodeid.startswith(_RESOURCE_GATED):
+        gc.collect()

@@ -124,26 +124,3 @@ def test_contains_len_keys(store, rng):
     assert (1, 2, 3, 4) in store
     assert len(store) == 1
     assert list(store.keys()) == [(1, 2, 3, 4)]
-
-
-def test_get_many_matches_get(store, rng):
-    blocks = {
-        i: make_patterned_stream(rng, n_blocks=2, zero_blocks=0) for i in range(6)
-    }
-    for k, b in blocks.items():
-        store.put(k, b)
-    store.get(0)  # one key already hot: mixed hit/miss path
-    out = store.get_many(list(blocks), n_workers=2)
-    for k, arr in zip(blocks, out):
-        assert np.max(np.abs(arr - blocks[k])) <= EB
-        np.testing.assert_array_equal(arr, store.get(k))
-    # serial path is behaviorally identical
-    np.testing.assert_array_equal(
-        store.get_many([3], n_workers=1)[0], store.get(3)
-    )
-
-
-def test_get_many_unknown_key_raises(store, rng):
-    store.put("a", make_patterned_stream(rng, n_blocks=1, zero_blocks=0))
-    with pytest.raises(KeyError):
-        store.get_many(["a", "missing"], n_workers=2)

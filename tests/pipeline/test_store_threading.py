@@ -7,6 +7,7 @@ consistent with the operations performed — lost updates under the old
 unlocked implementation showed up precisely here.
 """
 
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -128,3 +129,53 @@ def test_get_or_compute_under_contention(store):
     # the coarse lock serializes the check-compute-put sequence
     assert len(calls) == 1
     assert store.stats.n_entries == 1
+
+
+class _CountingCodec:
+    """Lossless float64 passthrough that counts its decodes."""
+
+    name = "counting"
+
+    def __init__(self):
+        self.decodes = 0
+        self._lock = threading.Lock()
+
+    def compress(self, data, error_bound):
+        return np.asarray(data, dtype=np.float64).tobytes()
+
+    def decompress(self, blob):
+        with self._lock:
+            self.decodes += 1
+        return np.frombuffer(blob, dtype=np.float64).copy()
+
+
+def test_racing_misses_decode_once_and_account_hot_bytes_exactly():
+    """8 readers race over 4 cold keys: each key is decoded exactly once and
+    the ``hot_bytes`` gauge equals the bytes actually resident, in every
+    trial.  A reader arriving between the end of a decode and its cache
+    insert must wait for the insert, not start a second decode."""
+    n_keys, n_trials = 4, 200
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # force thread switches inside get()
+    try:
+        for trial in range(n_trials):
+            codec = _CountingCodec()
+            store = CompressedERIStore(codec, EB, hot_cache_bytes=1 << 20)
+            for k in range(n_keys):
+                store.put(k, np.full(64, float(k)))
+            barrier = threading.Barrier(N_THREADS)
+
+            def reader(_tid):
+                barrier.wait()
+                for k in range(n_keys):
+                    store.get(k)
+
+            with ThreadPoolExecutor(N_THREADS) as ex:
+                list(ex.map(reader, range(N_THREADS)))
+            tier = store._hot_arrays
+            resident = sum(tier.peek(k).nbytes for k in tier.keys())
+            assert codec.decodes == n_keys, f"trial {trial}: duplicate decode"
+            assert store.stats.hot_bytes == resident, f"trial {trial}"
+            store.close()
+    finally:
+        sys.setswitchinterval(old)

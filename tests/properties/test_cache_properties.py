@@ -3,7 +3,7 @@
 Three invariants, each the contract of one overhaul mechanism:
 
 * **Budget**: a :class:`SegmentedCache` never holds more cost units than
-  its budget, whatever the op sequence, value sizes, or policy — and its
+  its budget, whatever the op sequence or value sizes — and its
   internal byte counter always equals the sum over resident entries.
 * **Scan resistance**: after a working set is established by repeated
   hits, a single full scan of arbitrary one-shot keys cannot evict it
@@ -37,12 +37,11 @@ ops_st = st.lists(
 
 @given(
     budget=st.integers(min_value=0, max_value=1000),
-    policy=st.sampled_from(["2q", "lru"]),
     ops=ops_st,
 )
 @settings(max_examples=80, deadline=None)
-def test_budget_never_exceeded(budget, policy, ops):
-    cache = SegmentedCache(budget, policy=policy)
+def test_budget_never_exceeded(budget, ops):
+    cache = SegmentedCache(budget)
     sticky = set()
     for op, key, size in ops:
         if op == "put":

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.zfp import transform as tf
-from repro.zfp.bitplane import decode_block, encode_block
+from repro.zfp.vectorized import decode_block_fast
+from tests.zfp.reference import decode_block, encode_block
 
 ints60 = st.integers(-(2**60), 2**60)
 
@@ -35,6 +36,7 @@ def test_plane_coder_reconstructs_kept_planes(u, maxprec):
     payload, nbits = encode_block(u, top, maxprec)
     vals, used = decode_block(payload, nbits, top, maxprec)
     assert used == nbits
+    assert decode_block_fast(payload, nbits, top, maxprec) == (vals, used)
     keep = 0
     for k in range(top, top - maxprec, -1):
         keep |= 1 << k

@@ -90,7 +90,8 @@ def test_truncated_stream_rejected(tmp_path):
     """Cuts anywhere before the end-of-frames sentinel fail the sequential read."""
     path = str(tmp_path / "c.pstf")
     compress_dataset_to_file([np.ones(100)], codec(), EB, path)
-    blob = open(path, "rb").read()
+    with open(path, "rb") as fh:
+        blob = fh.read()
     # last byte of the frame region: header | u64 len | frame | u64 sentinel
     for cut in (2, 5, 40, len(blob) // 3):
         buf = io.BytesIO(blob[:cut])
@@ -103,8 +104,9 @@ def test_corrupt_frame_length_rejected_before_allocation(tmp_path):
     """A flipped length field must raise, not attempt a multi-GB read."""
     path = str(tmp_path / "c.pstf")
     compress_dataset_to_file([np.ones(100)], codec(), EB, path)
-    raw = bytearray(open(path, "rb").read())
     with open(path, "rb") as fh:
+        raw = bytearray(fh.read())
+        fh.seek(0)
         read_stream_header(fh)
         frame_len_at = fh.tell()
     raw[frame_len_at : frame_len_at + 8] = struct.pack("<Q", 1 << 56)  # 64 PB

@@ -1,9 +1,10 @@
-"""Unit tests for ZFP's group-tested bit-plane coder (repro.zfp.bitplane)."""
+"""Unit tests for ZFP's group-tested bit-plane coder (the scalar oracle)."""
 
 import numpy as np
 import pytest
 
-from repro.zfp.bitplane import decode_block, encode_block, max_payload_bits
+from repro.zfp.bitplane import max_payload_bits
+from tests.zfp.reference import decode_block, encode_block
 
 
 def roundtrip(u, top, maxprec):

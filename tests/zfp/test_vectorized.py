@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from repro import api
 from repro.bitio import BitWriter
+from repro.streamio import ContainerWriter, open_container
 from repro.zfp import ZFPCompressor
 from repro.zfp import transform as tf
-from repro.zfp.bitplane import encode_block
 from repro.zfp.vectorized import encode_blocks, msb_positions
+from tests.zfp.reference import encode_block, scalar_compress
 
 
 def test_msb_positions_exact(rng):
@@ -42,9 +44,7 @@ def test_tokens_concatenate_to_scalar_payload(maxprec, rng):
 def test_full_streams_bit_identical(eb, rng):
     data = rng.standard_normal(4096) * np.exp(rng.uniform(-25, 2, 4096))
     data[100:120] = 0.0
-    fast = ZFPCompressor(vectorized=True).compress(data, eb)
-    slow = ZFPCompressor(vectorized=False).compress(data, eb)
-    assert fast == slow
+    assert ZFPCompressor().compress(data, eb) == scalar_compress(data, eb)
 
 
 def test_vectorized_roundtrip_and_speed(rng):
@@ -59,8 +59,33 @@ def test_raw_and_zero_blocks_in_vector_path(rng):
         [np.zeros(8), rng.standard_normal(8) * 1e20, rng.standard_normal(8) * 1e-7]
     )
     eb = 1e-12
-    fast = ZFPCompressor(vectorized=True).compress(data, eb)
-    slow = ZFPCompressor(vectorized=False).compress(data, eb)
-    assert fast == slow
+    fast = ZFPCompressor().compress(data, eb)
+    assert fast == scalar_compress(data, eb)
     out = ZFPCompressor().decompress(fast)
     assert np.max(np.abs(out - data)) <= eb
+
+
+def test_new_specs_carry_no_kwargs():
+    assert api.codec_spec(ZFPCompressor()) == {"name": "zfp", "kwargs": {}}
+
+
+@pytest.mark.parametrize("flag", [False, True])
+def test_container_with_legacy_vectorized_spec(flag, rng, tmp_path):
+    """Containers whose header spec still stores ``vectorized`` open and
+    decode exactly like new ones: the flag never changed a byte."""
+
+    class LegacySpec(ZFPCompressor):
+        def spec_kwargs(self):
+            return {"vectorized": flag}
+
+    data = rng.standard_normal(1000) * 1e-6
+    path = str(tmp_path / "legacy.pstf")
+    with ContainerWriter.create(path, LegacySpec(), 1e-10) as w:
+        w.append(data)
+    blob = ZFPCompressor().compress(data, 1e-10)
+    with open_container(path) as r:
+        assert r.codec_spec["kwargs"] == {"vectorized": flag}
+        assert type(r.codec) is ZFPCompressor
+        assert bytes(r.read_blob(0)) == blob
+        out = r.read_frame(0)
+    assert out.tobytes() == ZFPCompressor().decompress(blob).tobytes()
