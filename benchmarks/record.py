@@ -103,14 +103,13 @@ def _scaling_sweep(data, ds, reps: int) -> dict:
     workers over the shared-memory data plane.
 
     Every multi-worker stage runs on the persistent :func:`shared_pool`
-    (warm processes, shm transport when available); the 1-worker row is
+    (warm processes, shm transport); the 1-worker row is
     the in-process baseline.  Telemetry deltas bracket the sweep so the
     record carries the zero-copy evidence (``bytes_borrowed`` vs
     ``bytes_copied``) alongside the timings.
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    from repro.parallel import shm as shm_mod
     from repro.parallel.pool import (
         parallel_compress,
         parallel_compress_to_container,
@@ -203,8 +202,7 @@ def _scaling_sweep(data, ds, reps: int) -> dict:
             "descriptor passing vs in-process) rather than parallel gain; "
             "re-record on a multi-core host for scaling numbers"
         ),
-        "transport": "shared-memory segment pool"
-        if shm_mod.shm_available() else "pickle fallback",
+        "transport": "shared-memory segment pool",
         "compress": {"rows": compress_rows, "speedup_vs_1": speedups(compress_rows)},
         "container_load": {"rows": load_rows, "speedup_vs_1": speedups(load_rows)},
         "service_concurrent": {"n_clients": n_clients, "rows": service_rows},

@@ -10,10 +10,6 @@ being zero-copy and leak-free:
   of the traffic rode shared memory, not pickle;
 * after ``shutdown_shared_pools()`` no segment survives: the in-process
   ledger is empty and ``/dev/shm`` holds no new ``pastri-shm-*`` entries.
-
-On hosts without POSIX shared memory the script degrades to checking the
-pickle fallback round-trips correctly (and says so), so CI stays green on
-exotic runners while still exercising the pool.
 """
 
 import glob
@@ -46,8 +42,7 @@ def main() -> int:
     n = codec.spec.block_size * 800
     data = rng.normal(scale=1e-4, size=n) * np.exp(rng.normal(size=n))
 
-    use_shm = shm.shm_available()
-    baseline = _dev_shm_segments() if use_shm else set()
+    baseline = _dev_shm_segments()
 
     telemetry.enable()
     telemetry.reset()
@@ -72,29 +67,22 @@ def main() -> int:
     telemetry.disable()
     telemetry.reset()
 
-    if use_shm:
-        if not pool.uses_shm:
-            print("FAIL: shm available but pool fell back to pickle", file=sys.stderr)
-            return 1
-        if borrowed < copied or borrowed == 0:
-            print(
-                f"FAIL: transport not zero-copy: borrowed={borrowed} B "
-                f"< copied={copied} B",
-                file=sys.stderr,
-            )
-            return 1
-    else:
-        print("note: POSIX shared memory unavailable; checked pickle fallback only")
+    if borrowed < copied or borrowed == 0:
+        print(
+            f"FAIL: transport not zero-copy: borrowed={borrowed} B "
+            f"< copied={copied} B",
+            file=sys.stderr,
+        )
+        return 1
 
     shutdown_shared_pools()
     if shm.active_segments():
         print(f"FAIL: leaked segments: {shm.active_segments()}", file=sys.stderr)
         return 1
-    if use_shm:
-        orphans = sorted(_dev_shm_segments() - baseline)
-        if orphans:
-            print(f"FAIL: orphaned /dev/shm entries: {orphans}", file=sys.stderr)
-            return 1
+    orphans = sorted(_dev_shm_segments() - baseline)
+    if orphans:
+        print(f"FAIL: orphaned /dev/shm entries: {orphans}", file=sys.stderr)
+        return 1
 
     mb = data.nbytes * len(jobs) / 1e6
     print(

@@ -23,17 +23,17 @@ Since PR 7 the data plane is **zero-copy and pooled**:
 
 * All four module functions run on one *persistent* process-wide
   :func:`shared_pool` per (codec, worker-count) instead of minting a
-  throwaway ``Pool`` per call — warm workers keep their shaped-codec
-  caches, shared-memory attachments, and mmapped containers across calls.
+  throwaway ``Pool`` per call — warm workers keep their codecs across
+  calls, and nothing else: every shared-memory mapping and container
+  mmap a task opens is closed when the task ends.
 * Task payloads travel through :mod:`repro.parallel.shm` segments: the
   parent writes arrays/blobs into a pooled segment once and submits only
   ``(segment, offset, dtype, shape)`` descriptors; workers map the same
   pages.  Container loads scatter straight into a
   :class:`repro.parallel.shm.SharedOutput` the parent hands back
-  zero-copy.  When shared memory is unavailable (or exhausted), every
-  path degrades to the original pickling transport automatically —
-  ``store.shm.bytes_borrowed`` vs ``bytes_copied`` records which road the
-  bytes took.
+  zero-copy.  When a segment cannot be created (``/dev/shm`` exhausted),
+  that batch travels by pickle instead — ``store.shm.bytes_borrowed`` vs
+  ``bytes_copied`` records which road the bytes took.
 
 Telemetry rides the same wire as before: workers return
 ``(payload, capture_state())`` deltas that the parent merges, so a
@@ -44,6 +44,7 @@ parallel run still yields one coherent trace with worker spans grafted
 from __future__ import annotations
 
 import atexit
+import contextlib
 import json
 import multiprocessing as mp
 from typing import Sequence
@@ -96,14 +97,6 @@ def _init_worker_telemetry(telemetry_on: bool) -> None:
         telemetry.disable()
 
 
-def _compress_chunk(args: tuple[np.ndarray, float]) -> tuple[bytes, dict | None]:
-    chunk, eb = args
-    if isinstance(chunk, shm.ArrayRef):
-        chunk = shm.attach_array(chunk)
-    blob = _WORKER_CODEC.compress(chunk, eb)
-    return blob, telemetry.capture_state()
-
-
 _WORKER_SHAPED: dict = {}
 
 
@@ -124,38 +117,31 @@ def _shaped_worker_codec(dims):
     return codec
 
 
-def _compress_chunk_shaped(
-    args: tuple[np.ndarray, float, tuple | None],
-) -> tuple[bytes, dict | None]:
-    """Like :func:`_compress_chunk` but with a per-job ``dims`` override."""
-    chunk, eb, dims = args
-    if isinstance(chunk, shm.ArrayRef):
-        chunk = shm.attach_array(chunk)
-    blob = _shaped_worker_codec(dims).compress(chunk, eb)
-    return blob, telemetry.capture_state()
-
-
 def _compress_group(
     args: tuple[list, float, tuple | None],
 ) -> tuple[list[bytes], dict | None]:
-    """Compress one fused micro-batch group: several same-shape streams in
-    a single batched kernel pass (``compress_many``)."""
+    """Compress one group of same-shape streams.
+
+    A group of several runs as a single batched kernel pass
+    (``compress_many``); a group of one is a plain ``compress``, which is
+    byte-identical and keeps the per-stream codec telemetry.
+    """
     chunks, eb, dims = args
-    views = [shm.attach_array(c) if isinstance(c, shm.ArrayRef) else c for c in chunks]
     codec = _shaped_worker_codec(dims)
-    if hasattr(codec, "compress_many"):
-        blobs = codec.compress_many(views, eb)
-    else:
-        blobs = [codec.compress(v, eb) for v in views]
+    with shm.mapped(chunks) as views:
+        if len(views) > 1 and hasattr(codec, "compress_many"):
+            blobs = codec.compress_many(views, eb)
+        else:
+            blobs = [codec.compress(v, eb) for v in views]
     return blobs, telemetry.capture_state()
 
 
 def _decompress_blob(blob) -> tuple[tuple, dict | None]:
     """Decompress one blob; big results ship back through shared memory."""
-    if isinstance(blob, shm.BytesRef):
-        blob = bytes(shm.attach_bytes(blob))
+    with shm.mapped([blob]) as views:
+        blob = bytes(views[0])
     out = _WORKER_CODEC.decompress(blob)
-    if shm.shm_available() and out.nbytes >= shm.SHIP_MIN_BYTES:
+    if out.nbytes >= shm.SHIP_MIN_BYTES:
         try:
             return ("shm", shm.ship_array(out)), telemetry.capture_state()
         except OSError:  # pragma: no cover - /dev/shm exhausted mid-flight
@@ -164,10 +150,9 @@ def _decompress_blob(blob) -> tuple[tuple, dict | None]:
     return ("raw", out), telemetry.capture_state()
 
 
-# -- container-load worker state: codecs by spec, mmaps by path -------------
+# -- container-load worker state: codecs by spec ----------------------------
 
 _WORKER_SPEC_CODECS: dict = {}
-_WORKER_MAPS: dict = {}
 
 
 def _codec_for_spec(spec: dict):
@@ -179,40 +164,30 @@ def _codec_for_spec(spec: dict):
     return codec
 
 
-def _worker_framemap(path: str, sig: tuple) -> FrameMap:
-    """Per-worker mmap cache keyed by path; ``sig`` (mtime, size) detects a
-    replaced file so a stale mapping is never read."""
-    cur = _WORKER_MAPS.get(path)
-    if cur is not None and cur[0] == sig:
-        return cur[1]
-    if cur is not None:
-        cur[1].close()
-    fm = FrameMap(path)
-    _WORKER_MAPS[path] = (sig, fm)
-    return fm
-
-
 def _decompress_frame(args) -> tuple[tuple, dict | None]:
     """Decompress one container frame addressed by its index entry.
 
-    The frame bytes come straight off the worker's own :class:`FrameMap`
-    mmap (CRC-checked on the view); the result lands in the parent's
-    :class:`SharedOutput` slice when one was provided, else returns by
-    pickle (the fallback transport).
+    The frame bytes come off a :class:`FrameMap` the task opens for itself
+    and closes when done (CRC-checked on the view); the result lands in
+    the parent's :class:`SharedOutput` slice when one was provided, else
+    returns by pickle (the fallback transport).
     """
-    path, sig, spec, offset, length, crc, out_ref = args
+    path, spec, offset, length, crc, out_ref = args
     codec = _codec_for_spec(spec)
-    fm = _worker_framemap(path, sig)
-    view = fm.check(offset, length, crc) if crc is not None else fm.view(offset, length)
-    out = codec.decompress(bytes(view))
+    with FrameMap(path) as fm:
+        if crc is not None:
+            blob = bytes(fm.check(offset, length, crc))
+        else:
+            blob = bytes(fm.view(offset, length))
+    out = codec.decompress(blob)
     if out_ref is not None:
-        dst = shm.attach_array(out_ref)
-        if out.size != dst.size:
+        if out.size != out_ref.shape[0]:
             raise CompressionError(
                 f"frame at offset {offset} decoded {out.size} elements, "
-                f"index promised {dst.size}"
+                f"index promised {out_ref.shape[0]}"
             )
-        np.copyto(dst, out)
+        with shm.mapped([out_ref]) as views:
+            np.copyto(views[0], out)
         return ("done", int(out.size)), telemetry.capture_state()
     shm.count_copied(out.nbytes)
     return ("raw", out), telemetry.capture_state()
@@ -228,11 +203,10 @@ class CodecWorkerPool:
     local shaped-codec cache — the same dispatch rule as
     :meth:`repro.pipeline.store.CompressedERIStore.codec_for`.
 
-    Transport is zero-copy by default: arrays and blobs are written once
-    into a pooled :class:`repro.parallel.shm.ShmSegmentPool` segment and
-    submitted as descriptors.  ``use_shm=False`` (or an unavailable
-    platform) selects the original pickling transport; both produce
-    byte-identical blobs.
+    Transport is zero-copy: arrays and blobs are written once into a
+    pooled :class:`repro.parallel.shm.ShmSegmentPool` segment and
+    submitted as descriptors.  A batch for which no segment can be
+    created travels by pickle instead; both produce byte-identical blobs.
     """
 
     def __init__(
@@ -240,21 +214,13 @@ class CodecWorkerPool:
         codec_name: str,
         codec_kwargs: dict | None = None,
         n_workers: int = 2,
-        use_shm: bool | None = None,
     ) -> None:
         if n_workers < 1:
             raise ParameterError("n_workers must be >= 1")
         self.n_workers = n_workers
         self.codec_name = codec_name
         self.codec_kwargs = dict(codec_kwargs or {})
-        if use_shm is None:
-            use_shm = shm.shm_available()
-        self._shm: shm.ShmSegmentPool | None = None
-        if use_shm and shm.shm_available():
-            try:
-                self._shm = shm.ShmSegmentPool()
-            except Exception:  # pragma: no cover - no /dev/shm
-                self._shm = None
+        self._shm = shm.ShmSegmentPool()
         self._closed = False
         # One resource tracker for the whole family — must start before the
         # workers exist (see shm.ensure_family_tracker).
@@ -265,19 +231,30 @@ class CodecWorkerPool:
             initargs=(codec_name, self.codec_kwargs, _tstate.enabled),
         )
 
-    @property
-    def uses_shm(self) -> bool:
-        """Whether the shared-memory transport is active."""
-        return self._shm is not None
+    @contextlib.contextmanager
+    def _shipped(self, payloads: list):
+        """Task inputs (arrays or bytes) for the span of one map.
 
-    def _lease(self, nbytes: int):
-        """A segment lease for ``nbytes``, or ``None`` to fall back to pickle."""
-        if self._shm is None or nbytes <= 0:
-            return None
+        Yields their descriptors in one leased segment, released on exit;
+        if the segment cannot be created, yields the payloads themselves,
+        which then travel by pickle.
+        """
         try:
-            return self._shm.acquire(nbytes)
-        except (OSError, ValueError, ParameterError):
-            return None
+            lease = self._shm.acquire(sum(memoryview(p).nbytes for p in payloads))
+        except (OSError, ValueError):
+            lease = None
+        if lease is None:
+            for p in payloads:
+                shm.count_copied(memoryview(p).nbytes)
+            yield payloads
+            return
+        try:
+            yield [
+                lease.put_array(p) if isinstance(p, np.ndarray) else lease.put_bytes(p)
+                for p in payloads
+            ]
+        finally:
+            lease.release()
 
     def _map(self, fn, tasks: list) -> list:
         return _merge_results(self._pool.map(fn, tasks))
@@ -286,19 +263,8 @@ class CodecWorkerPool:
         self, jobs: Sequence[tuple[np.ndarray, float, tuple | None]]
     ) -> list[bytes]:
         """Compress ``(data, error_bound, dims)`` jobs; blobs in job order."""
-        jobs = [(np.ascontiguousarray(d), eb, dims) for d, eb, dims in jobs]
-        lease = self._lease(sum(d.nbytes for d, _, _ in jobs))
-        if lease is None:
-            for d, _, _ in jobs:
-                shm.count_copied(d.nbytes)
-            tasks = jobs
-        else:
-            tasks = [(lease.put_array(d), eb, dims) for d, eb, dims in jobs]
-        try:
-            return self._map(_compress_chunk_shaped, tasks)
-        finally:
-            if lease is not None:
-                lease.release()
+        groups = self.compress_groups([([d], eb, dims) for d, eb, dims in jobs])
+        return [blobs[0] for blobs in groups]
 
     def compress_groups(
         self, groups: Sequence[tuple[list, float, tuple | None]]
@@ -310,40 +276,20 @@ class CodecWorkerPool:
         same-class requests costs one numeric front instead of N.  Returns
         per-group blob lists in submission order.
         """
-        groups = [(list(arrays), eb, dims) for arrays, eb, dims in groups]
-        total = sum(a.nbytes for arrays, _, _ in groups for a in arrays)
-        lease = self._lease(total)
-        if lease is None:
-            for arrays, _, _ in groups:
-                for a in arrays:
-                    shm.count_copied(a.nbytes)
-            tasks = groups
-        else:
-            tasks = [
-                ([lease.put_array(np.ascontiguousarray(a)) for a in arrays], eb, dims)
-                for arrays, eb, dims in groups
-            ]
-        try:
+        groups = [
+            ([np.ascontiguousarray(a) for a in arrays], eb, dims)
+            for arrays, eb, dims in groups
+        ]
+        with self._shipped([a for arrays, _, _ in groups for a in arrays]) as flat:
+            members = iter(flat)
+            tasks = [([next(members) for _ in arrays], eb, dims)
+                     for arrays, eb, dims in groups]
             return self._map(_compress_group, tasks)
-        finally:
-            if lease is not None:
-                lease.release()
 
     def decompress_batch(self, blobs: Sequence[bytes]) -> list[np.ndarray]:
         """Decompress blobs in parallel; arrays in blob order."""
-        blobs = list(blobs)
-        lease = self._lease(sum(len(b) for b in blobs))
-        if lease is None:
-            for b in blobs:
-                shm.count_copied(len(b))
-            tasks = blobs
-        else:
-            tasks = [lease.put_bytes(b) for b in blobs]
-        try:
+        with self._shipped(list(blobs)) as tasks:
             results = self._map(_decompress_blob, tasks)
-        finally:
-            if lease is not None:
-                lease.release()
         return [
             shm.adopt_array(val) if kind == "shm" else val for kind, val in results
         ]
@@ -354,8 +300,7 @@ class CodecWorkerPool:
         self._closed = True
         self._pool.close()
         self._pool.join()
-        if self._shm is not None:
-            self._shm.close()
+        self._shm.close()
 
     def terminate(self) -> None:
         """Hard stop (crash-path cleanup); still releases every segment."""
@@ -364,8 +309,7 @@ class CodecWorkerPool:
         self._closed = True
         self._pool.terminate()
         self._pool.join()
-        if self._shm is not None:
-            self._shm.close()
+        self._shm.close()
 
     def __enter__(self) -> "CodecWorkerPool":
         return self
@@ -401,9 +345,8 @@ def shared_pool(
     """The persistent process-wide pool for a (codec, worker-count) pair.
 
     Repeated parallel calls — a benchmark loop, an SCF iteration dumping
-    containers, the CLI — reuse warm workers, their shaped-codec caches,
-    their shared-memory attachments, and their container mmaps instead of
-    paying pool startup per call.  Pools live until
+    containers, the CLI — reuse warm workers and their codec caches
+    instead of paying pool startup per call.  Pools live until
     :func:`shutdown_shared_pools` (registered ``atexit``).  The cache key
     includes the start method and the telemetry flag, so a monkeypatched
     context or a telemetry toggle gets a fresh, correctly-configured pool.
@@ -453,6 +396,35 @@ def split_stream(data: np.ndarray, n_chunks: int, block_size: int) -> list[np.nd
     return chunks
 
 
+def _compress_chunks(
+    codec_name: str,
+    chunks: list[np.ndarray],
+    error_bound: float,
+    n_workers: int,
+    codec_kwargs: dict | None,
+) -> list[bytes]:
+    """Compress block-aligned chunks, one blob each, in chunk order.
+
+    One worker or one chunk runs in process; anything more runs on the
+    persistent :func:`shared_pool`, where a worker's failure surfaces as
+    :class:`CompressionError` rather than the bare exception ``Pool.map``
+    re-raises.
+    """
+    if n_workers == 1 or len(chunks) == 1:
+        codec = api.get_codec(codec_name, **(codec_kwargs or {}))
+        return [codec.compress(c, error_bound) for c in chunks]
+    with telemetry.trace("parallel.compress", workers=n_workers, chunks=len(chunks)):
+        pool = shared_pool(codec_name, codec_kwargs, n_workers)
+        try:
+            return pool.compress_batch([(c, error_bound, None) for c in chunks])
+        except CompressionError:
+            raise
+        except Exception as exc:
+            raise CompressionError(
+                f"worker failed while compressing a chunk: {exc}"
+            ) from exc
+
+
 def parallel_compress(
     codec_name: str,
     data: np.ndarray,
@@ -466,17 +438,12 @@ def parallel_compress(
     Chunk boundaries respect ``block_size`` so each worker sees whole
     blocks (file-per-process mode writes one blob per worker, as in the
     paper's POSIX I/O setup).  Runs on the persistent :func:`shared_pool`
-    with shared-memory transport when available.
+    with shared-memory transport.
     """
     if n_workers < 1:
         raise ParameterError("n_workers must be >= 1")
     chunks = split_stream(data, n_workers, block_size)
-    if n_workers == 1 or len(chunks) == 1:
-        codec = api.get_codec(codec_name, **(codec_kwargs or {}))
-        return [codec.compress(c, error_bound) for c in chunks]
-    with telemetry.trace("parallel.compress", workers=n_workers, chunks=len(chunks)):
-        pool = shared_pool(codec_name, codec_kwargs, n_workers)
-        return pool.compress_batch([(c, error_bound, None) for c in chunks])
+    return _compress_chunks(codec_name, chunks, error_bound, n_workers, codec_kwargs)
 
 
 def parallel_decompress(
@@ -527,25 +494,7 @@ def parallel_compress_to_container(
     with telemetry.trace(
         "parallel.compress_to_container", workers=n_workers, frames=len(chunks)
     ):
-        if n_workers == 1 or len(chunks) == 1:
-            codec = api.get_codec(codec_name, **kwargs)
-            blobs = [codec.compress(c, error_bound) for c in chunks]
-        else:
-            with telemetry.trace("parallel.compress", workers=n_workers):
-                pool = shared_pool(codec_name, kwargs, n_workers)
-                try:
-                    blobs = pool.compress_batch(
-                        [(c, error_bound, None) for c in chunks]
-                    )
-                except CompressionError:
-                    raise
-                except Exception as exc:
-                    # Pool.map re-raises the first worker exception in the
-                    # parent; normalize it so callers see one library
-                    # error type instead of a bare worker traceback.
-                    raise CompressionError(
-                        f"worker failed while compressing a chunk: {exc}"
-                    ) from exc
+        blobs = _compress_chunks(codec_name, chunks, error_bound, n_workers, kwargs)
         codec = api.get_codec(codec_name, **kwargs)
         full_meta = {"error_bound": error_bound, "block_size": int(block_size)}
         full_meta.update(meta or {})
@@ -567,8 +516,8 @@ def parallel_decompress_container(path: str, n_workers: int) -> np.ndarray:
     into one :class:`repro.parallel.shm.SharedOutput` buffer the parent
     returns zero-copy (frame bytes never round-trip through pickle).
     Works on v1 streams too (compat index built by
-    :func:`repro.streamio.open_container`); falls back to pickled results
-    when shared memory is unavailable.
+    :func:`repro.streamio.open_container`), whose results return by
+    pickle, as they do when the output segment cannot be created.
     """
     if n_workers < 1:
         raise ParameterError("n_workers must be >= 1")
@@ -576,23 +525,23 @@ def parallel_decompress_container(path: str, n_workers: int) -> np.ndarray:
         with open_container(path) as reader:
             if n_workers == 1 or len(reader) <= 1:
                 return reader.read_all()
-            path, sig, spec, frames = reader.frame_table()
+            path, spec, frames = reader.frame_table()
         pool = shared_pool(spec["name"], spec.get("kwargs"), n_workers)
         counts = [f.n_elements for f in frames]
         total = int(sum(counts))
         output = None
         # v1 compat indexes carry no element counts (all zeros) — the
         # scatter buffer cannot be pre-sized, so those fall back to pickle.
-        if pool.uses_shm and total > 0 and all(c > 0 for c in counts):
+        if total > 0 and all(c > 0 for c in counts):
             try:
                 output = shm.SharedOutput(total, "<f8")
-            except OSError:  # pragma: no cover - /dev/shm exhausted
+            except OSError:  # /dev/shm exhausted
                 output = None
         offsets = np.concatenate([[0], np.cumsum(counts)])
         tasks = []
         for f, lo in zip(frames, offsets):
             out_ref = output.ref(int(lo), f.n_elements) if output is not None else None
-            tasks.append((path, sig, spec, f.offset, f.length, f.crc32, out_ref))
+            tasks.append((path, spec, f.offset, f.length, f.crc32, out_ref))
         try:
             results = pool._map(_decompress_frame, tasks)
         except BaseException:

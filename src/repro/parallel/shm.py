@@ -17,9 +17,9 @@ Lifecycle is explicit and leak-checked:
   geometric class so consecutive micro-batches reuse warm segments
   (``store.shm.pool_hits``); :meth:`ShmSegmentPool.close` unlinks
   everything and reports anything still leased.
-* Workers attach lazily and cache attachments by name
-  (:func:`attach_segment`), so a persistent pool touches ``shm_open``
-  once per segment, not once per task.
+* Workers map a task's descriptors for that task only (:func:`mapped`)
+  and unmap them when it ends, so a persistent worker holds no segment
+  between tasks.
 * Worker-created *result* segments (sizes the parent cannot know ahead of
   time) transfer ownership through :func:`ship_array` /
   :func:`adopt_array`: the whole process family shares one
@@ -31,41 +31,33 @@ Lifecycle is explicit and leak-checked:
 Telemetry rides the existing registry under ``store.shm.*``:
 ``segments_live`` (gauge), ``segments_created``, ``pool_hits``,
 ``bytes_borrowed`` (moved through shared memory) vs. ``bytes_copied``
-(fell back to pickle).  When shared memory is unavailable — platforms
-without ``/dev/shm``, or creation failures under memory pressure — every
-entry point degrades to the pickling path automatically.
+(fell back to pickle).  When a segment cannot be created (``/dev/shm``
+exhausted), the pool ships that batch by pickle instead.
 """
 
 from __future__ import annotations
 
 import atexit
+import contextlib
 import itertools
 import os
 import threading
 import weakref
 from dataclasses import dataclass
+from multiprocessing import shared_memory as _shm_mod
 
 import numpy as np
 
 from repro import telemetry
 from repro.errors import ParameterError
 
-try:  # pragma: no cover - import guard exercised only on exotic platforms
-    from multiprocessing import shared_memory as _shm_mod
-except ImportError:  # pragma: no cover
-    _shm_mod = None
-
 __all__ = [
     "SEGMENT_PREFIX",
-    "shm_available",
     "ArrayRef",
     "BytesRef",
     "SegmentLease",
     "ShmSegmentPool",
-    "attach_segment",
-    "attach_array",
-    "attach_bytes",
-    "detach_all",
+    "mapped",
     "ship_array",
     "adopt_array",
     "SharedOutput",
@@ -86,11 +78,6 @@ _LIVE_SEGMENTS: dict[str, object] = {}
 _LIVE_LOCK = threading.Lock()
 
 
-def shm_available() -> bool:
-    """Whether POSIX shared memory can be used on this host."""
-    return _shm_mod is not None
-
-
 def ensure_family_tracker() -> None:
     """Start the ``multiprocessing`` resource tracker *before* workers fork.
 
@@ -103,8 +90,6 @@ def ensure_family_tracker() -> None:
     a set-idempotent no-op against the parent's create-register and the
     parent's unlink balances the books exactly once.
     """
-    if _shm_mod is None:
-        return
     try:
         from multiprocessing import resource_tracker
 
@@ -267,21 +252,6 @@ class SegmentLease:
         count_borrowed(len(view))
         return BytesRef(self._seg.name, offset, len(view))
 
-    def reserve_array(self, shape, dtype) -> ArrayRef:
-        """Claim uninitialized space for a worker-*written* array (output
-        direction: the parent sizes it, the worker fills it)."""
-        dt = np.dtype(dtype)
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dt.itemsize
-        offset = self._claim(nbytes)
-        return ArrayRef(self._seg.name, offset, tuple(shape), dt.str)
-
-    def view_array(self, ref: ArrayRef) -> np.ndarray:
-        """Map a descriptor minted by this lease back to an array (parent side)."""
-        if ref.segment != self._seg.name:
-            raise ParameterError(f"descriptor belongs to {ref.segment!r}")
-        return np.ndarray(ref.shape, dtype=np.dtype(ref.dtype),
-                          buffer=self._seg.buf, offset=ref.offset)
-
     def release(self) -> None:
         """Return the segment to the pool for reuse."""
         if not self._released:
@@ -290,19 +260,20 @@ class SegmentLease:
             self._pool._give_back(self._seg)
 
 
+#: Idle segments a :class:`ShmSegmentPool` keeps warm; extras are unlinked.
+_MAX_FREE = 4
+
+
 class ShmSegmentPool:
     """A small pool of reusable shared-memory segments.
 
-    ``max_free`` bounds how many idle segments are kept warm; extras are
+    At most :data:`_MAX_FREE` idle segments are kept warm; extras are
     unlinked on release, and :meth:`close` unlinks everything.  The pool
     is thread-safe — the service's dispatcher thread and executor threads
     can lease concurrently.
     """
 
-    def __init__(self, max_free: int = 4) -> None:
-        if not shm_available():
-            raise ParameterError("shared memory is not available on this platform")
-        self._max_free = max_free
+    def __init__(self) -> None:
         self._free: list = []  # idle segments, any sizes
         self._leased: dict[str, object] = {}
         self._lock = threading.Lock()
@@ -336,7 +307,7 @@ class ShmSegmentPool:
     def _give_back(self, seg) -> None:
         with self._lock:
             self._leased.pop(seg.name, None)
-            if not self._closed and len(self._free) < self._max_free:
+            if not self._closed and len(self._free) < _MAX_FREE:
                 self._free.append(seg)
                 return
         _destroy_segment(seg)
@@ -373,54 +344,49 @@ class ShmSegmentPool:
 
 
 # ---------------------------------------------------------------------------
-# worker side: cached attachments
-
-_ATTACH_CACHE: dict[str, object] = {}
-_ATTACH_MAX = 16
+# worker side: task-scoped mappings
 
 
-def attach_segment(name: str):
-    """Attach to a named segment, caching the mapping per process.
+@contextlib.contextmanager
+def mapped(payloads):
+    """Map one task's payloads for the span of a ``with`` block.
 
-    A persistent worker sees the same pooled segment names batch after
-    batch; caching turns every task after the first into a pure pointer
-    lookup.  The cache is bounded — oldest attachments are closed when it
-    overflows (their exported views, if any, keep the pages alive).
+    Yields a list parallel to ``payloads``: an :class:`ArrayRef` becomes
+    an array and a :class:`BytesRef` a memoryview over the shared pages;
+    anything else (a pickled payload) passes through.  Each segment is
+    attached once per task however many descriptors point into it.  On
+    exit the list is emptied and the mappings close, so a result that
+    must outlive the task has to be copied inside the block.
+
+    An array over a segment holds no buffer export on it, so closing the
+    segment under a live array would unmap that array's pages.  Instead a
+    segment's views all hang off one base array whose finalizer closes
+    the mapping: normally that happens at exit, but a view still alive
+    then (say, pinned by the traceback of an exception in flight) keeps
+    its pages mapped until it is collected, never past it.
     """
-    seg = _ATTACH_CACHE.pop(name, None)
-    if seg is None:
-        seg = _shm_mod.SharedMemory(name=name)
-        while len(_ATTACH_CACHE) >= _ATTACH_MAX:
-            oldest = next(iter(_ATTACH_CACHE))
-            try:
-                _ATTACH_CACHE.pop(oldest).close()
-            except BufferError:  # pragma: no cover - view still exported
-                pass
-    _ATTACH_CACHE[name] = seg  # re-insert = move to MRU end
-    return seg
-
-
-def attach_array(ref: ArrayRef) -> np.ndarray:
-    """Map an :class:`ArrayRef` to a live array over the shared pages."""
-    seg = attach_segment(ref.segment)
-    return np.ndarray(ref.shape, dtype=np.dtype(ref.dtype),
-                      buffer=seg.buf, offset=ref.offset)
-
-
-def attach_bytes(ref: BytesRef) -> memoryview:
-    """Map a :class:`BytesRef` to a zero-copy memoryview."""
-    seg = attach_segment(ref.segment)
-    return memoryview(seg.buf)[ref.offset:ref.offset + ref.length]
-
-
-def detach_all() -> None:
-    """Close every cached attachment (worker shutdown / tests)."""
-    while _ATTACH_CACHE:
-        _, seg = _ATTACH_CACHE.popitem()
-        try:
-            seg.close()
-        except BufferError:  # pragma: no cover
-            pass
+    bases: dict[str, np.ndarray] = {}
+    views = []
+    try:
+        for p in payloads:
+            if not isinstance(p, (ArrayRef, BytesRef)):
+                views.append(p)
+                continue
+            base = bases.get(p.segment)
+            if base is None:
+                seg = _shm_mod.SharedMemory(name=p.segment)
+                base = np.ndarray((seg.size,), dtype=np.uint8, buffer=seg.buf)
+                weakref.finalize(base, seg.close)
+                bases[p.segment] = base
+            if isinstance(p, ArrayRef):
+                raw = base[p.offset:p.offset + p.nbytes]
+                views.append(raw.view(np.dtype(p.dtype)).reshape(p.shape))
+            else:
+                views.append(memoryview(base[p.offset:p.offset + p.length]))
+        yield views
+    finally:
+        views.clear()
+        bases.clear()
 
 
 # ---------------------------------------------------------------------------

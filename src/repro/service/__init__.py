@@ -39,7 +39,7 @@ replication, hinted handoff — ``docs/CLUSTER.md``).
 
 from __future__ import annotations
 
-from repro.service.buffers import BufferPool, PayloadBuffer
+from repro.service.buffers import PayloadBuffer
 from repro.service.client import AsyncServiceClient, RetryPolicy, ServiceClient
 from repro.service.protocol import (
     MAGIC,
@@ -64,7 +64,6 @@ __all__ = [
     "read_frame",
     "read_frame_async",
     "read_frame_socket",
-    "BufferPool",
     "PayloadBuffer",
     "CompressionServer",
     "ServerConfig",

@@ -851,20 +851,16 @@ class ContainerReader:
             return self._raw_codec_spec
         return api.codec_spec(self.codec)
 
-    def frame_table(self) -> tuple[str, tuple[int, int], dict, list[FrameInfo]]:
+    def frame_table(self) -> tuple[str, dict, list[FrameInfo]]:
         """Everything an out-of-process consumer needs to fetch frames itself.
 
-        Returns ``(path, signature, codec_spec, frames)`` where the
-        signature is ``(mtime_ns, size)`` — a worker holding a cached
-        :class:`FrameMap` for ``path`` compares it to detect a replaced
-        file.  This is the hand-off :func:`repro.parallel.pool.
-        parallel_decompress_container` ships to its workers: index
-        entries, never frame bytes.
+        Returns ``(path, codec_spec, frames)``.  This is the hand-off
+        :func:`repro.parallel.pool.parallel_decompress_container` ships to
+        its workers: index entries, never frame bytes.
         """
         if self._path is None:
             raise ParameterError("frame_table needs a path-opened container")
-        st = os.stat(self._path)
-        return self._path, (st.st_mtime_ns, st.st_size), self.codec_spec, list(self.frames)
+        return self._path, self.codec_spec, list(self.frames)
 
     def close(self) -> None:
         if self._owns_fh:

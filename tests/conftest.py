@@ -68,6 +68,7 @@ def eri_engine(small_shell_basis):
 #: test paths that must close every file handle they open (tests/faults/
 #: is out: it leaves handles open on purpose to simulate kills)
 _RESOURCE_GATED = (
+    "tests/parallel/",
     "tests/pipeline/",
     "tests/zfp/",
     "tests/test_streamio.py",

@@ -185,14 +185,17 @@ def test_spawn_fallback_roundtrips_telemetry(rng, monkeypatch):
         telemetry.reset()
 
 
-def test_worker_exception_surfaces_as_compression_error(rng, tmp_path, boom_codec):
-    """A worker dying mid-chunk raises cleanly in the parent — no hang."""
-    from repro.parallel.pool import parallel_compress_to_container
-
+@pytest.mark.parametrize("entry", ["parallel_compress", "parallel_compress_to_container"])
+def test_worker_exception_surfaces_as_compression_error(rng, tmp_path, boom_codec, entry):
+    """A worker dying mid-chunk raises cleanly in the parent — no hang —
+    as the library's error type on both compress entry points."""
     data = make_patterned_stream(rng, n_blocks=8)
-    path = str(tmp_path / "x.pstf")
+    args = ("boom", data, 1e-10, 2, BLOCK)
     with pytest.raises(CompressionError, match="worker failed"):
-        parallel_compress_to_container("boom", data, 1e-10, 2, BLOCK, path)
+        if entry == "parallel_compress":
+            parallel_compress(*args)
+        else:
+            pool_mod.parallel_compress_to_container(*args, str(tmp_path / "x.pstf"))
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,6 @@ from repro.api import get_codec
 from repro.parallel import shm
 from repro.parallel.pool import CodecWorkerPool, shared_pool, shutdown_shared_pools
 
-pytestmark = pytest.mark.skipif(
-    not shm.shm_available(), reason="no POSIX shared memory on this platform"
-)
-
 DIMS = (2, 2, 2, 2)
 EB = 1e-10
 
@@ -48,13 +44,25 @@ def _clean_slate():
     # earlier suite tests legitimately hold warm persistent pools (that's
     # the point of shared_pool); start each test from an empty ledger
     shutdown_shared_pools()
-    shm.detach_all()
     assert shm.active_segments() == []
     _BASELINE = _segment_names()
     yield
     shutdown_shared_pools()
     assert shm.active_segments() == []
     assert not _dev_shm_orphans()
+
+
+def _refuse_segments(monkeypatch) -> list[int]:
+    """Make every segment creation fail as an exhausted ``/dev/shm`` does;
+    returns the list the refused sizes are appended to."""
+    refused: list[int] = []
+
+    def no_space(size):
+        refused.append(size)
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(shm, "_new_segment", no_space)
+    return refused
 
 
 def _stream(n_blocks: int = 50, seed: int = 0) -> np.ndarray:
@@ -70,14 +78,14 @@ class TestSegmentPool:
         data = np.arange(1000, dtype=np.float64)
         lease = pool.acquire(data.nbytes)
         ref = lease.put_array(data)
-        np.testing.assert_array_equal(shm.attach_array(ref), data)
+        with shm.mapped([ref]) as views:
+            np.testing.assert_array_equal(views[0], data)
         name = lease.name
         lease.release()
         # same size class -> the very same warm segment comes back
         lease2 = pool.acquire(data.nbytes)
         assert lease2.name == name
         lease2.release()
-        shm.detach_all()
         assert pool.close() == []
         assert shm.active_segments() == []
 
@@ -93,9 +101,9 @@ class TestSegmentPool:
         blob = os.urandom(5000)
         lease = pool.acquire(len(blob))
         ref = lease.put_bytes(blob)
-        assert bytes(shm.attach_bytes(ref)) == blob
+        with shm.mapped([ref]) as views:
+            assert bytes(views[0]) == blob
         lease.release()
-        shm.detach_all()
         pool.close()
 
     def test_overflow_rejected(self):
@@ -121,9 +129,6 @@ class TestPoolLifecycle:
 
     def test_worker_crash_leaves_no_segments(self):
         pool = CodecWorkerPool("pastri", {"dims": list(DIMS)}, n_workers=2)
-        if not pool.uses_shm:
-            pool.close()
-            pytest.skip("shm transport unavailable")
         # a corrupt blob makes the worker task raise; Pool.map re-raises here
         with pytest.raises(Exception):
             pool.decompress_batch([b"\x00" * 100])
@@ -133,27 +138,43 @@ class TestPoolLifecycle:
         assert shm.active_segments() == []
         assert not _dev_shm_orphans()
 
-    def test_fallback_blobs_byte_identical(self):
+    def test_fallback_blobs_byte_identical(self, monkeypatch):
         data = _stream()
         jobs = [(data, EB, None), (data * 0.5, EB, list(DIMS))]
-        with CodecWorkerPool("pastri", {"dims": list(DIMS)}, 2, use_shm=True) as p:
+        with CodecWorkerPool("pastri", {"dims": list(DIMS)}, 2) as p:
             via_shm = p.compress_batch(jobs)
-            assert p.uses_shm
-        with CodecWorkerPool("pastri", {"dims": list(DIMS)}, 2, use_shm=False) as p:
+        refused = _refuse_segments(monkeypatch)
+        with CodecWorkerPool("pastri", {"dims": list(DIMS)}, 2) as p:
             via_pickle = p.compress_batch(jobs)
-            assert not p.uses_shm
+        assert refused  # the pickle path was taken
         assert via_shm == via_pickle
         # and both match the in-process codec exactly
         codec = get_codec("pastri", dims=DIMS)
         assert via_shm[0] == codec.compress(data, EB)
 
-    def test_decompress_fallback_identical(self):
+    def test_decompress_fallback_identical(self, monkeypatch, tmp_path):
+        from repro.parallel.pool import parallel_decompress_container
+        from repro.streamio import ContainerWriter
+
         data = _stream(seed=7)
         codec = get_codec("pastri", dims=DIMS)
         blobs = [codec.compress(data, EB)]
-        with CodecWorkerPool("pastri", {"dims": list(DIMS)}, 2, use_shm=False) as p:
+        parts = np.array_split(data, 3)
+        path = str(tmp_path / "f.pstf")
+        with ContainerWriter.create(path, codec, EB) as w:
+            for part in parts:
+                w.append(part)
+        refused = _refuse_segments(monkeypatch)
+        with CodecWorkerPool("pastri", {"dims": list(DIMS)}, 2) as p:
             out = p.decompress_batch(blobs)[0]
+        assert refused
         np.testing.assert_array_equal(out, codec.decompress(blobs[0]))
+        # a container load whose output segment is refused returns by pickle
+        refused.clear()
+        loaded = parallel_decompress_container(path, 2)
+        assert refused
+        expected = [codec.decompress(codec.compress(part, EB)) for part in parts]
+        np.testing.assert_array_equal(loaded, np.concatenate(expected))
 
     def test_shared_pool_is_persistent(self):
         p1 = shared_pool("pastri", {"dims": list(DIMS)}, 2)
@@ -203,15 +224,13 @@ class TestInterrupt:
 class TestSharedOutput:
     def test_scatter_and_finish(self):
         out = shm.SharedOutput(10)
-        a = shm.attach_array(out.ref(0, 4))
-        b = shm.attach_array(out.ref(4, 6))
-        a[:] = np.arange(4)
-        b[:] = np.arange(6) + 100.0
+        with shm.mapped([out.ref(0, 4), out.ref(4, 6)]) as views:
+            views[0][:] = np.arange(4)
+            views[1][:] = np.arange(6) + 100.0
         result = out.finish()
         np.testing.assert_array_equal(result[:4], np.arange(4.0))
         np.testing.assert_array_equal(result[4:], np.arange(6.0) + 100.0)
-        shm.detach_all()
-        del a, b, result
+        del result
         assert shm.active_segments() == []
         assert not _dev_shm_orphans()
 
@@ -231,3 +250,55 @@ class TestShipAdopt:
         # adopt unlinked immediately: nothing on disk even while arr lives
         assert not _dev_shm_orphans()
         del arr
+
+
+def _held_by(pid: int) -> list[str]:
+    """Every fd target and file-backed mapping of process ``pid``."""
+    fd_dir = f"/proc/{pid}/fd"
+    held = []
+    for fd in os.listdir(fd_dir):
+        try:
+            held.append(os.readlink(os.path.join(fd_dir, fd)))
+        except OSError:  # closed between listdir and readlink
+            pass
+    with open(f"/proc/{pid}/maps") as fh:
+        held.extend(line.split(None, 5)[5].strip() for line in fh
+                    if len(line.split(None, 5)) == 6)
+    return held
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+class TestWorkersHoldNothing:
+    def test_no_container_or_output_outlives_its_load(self, tmp_path):
+        """Pack+load cycles on one persistent pool, each container deleted
+        afterwards: no worker keeps a container fd or mmap, nor a mapping
+        of a finished ``SharedOutput`` segment."""
+        import multiprocessing as mp
+
+        from repro.parallel.pool import (
+            parallel_compress_to_container,
+            parallel_decompress_container,
+        )
+
+        data = _stream(n_blocks=64)
+        block = get_codec("pastri", dims=DIMS).spec.block_size
+        for i in range(5):
+            path = str(tmp_path / f"c{i}.pstf")
+            parallel_compress_to_container(
+                "pastri", data, EB, 2, block, path,
+                codec_kwargs={"dims": list(DIMS)}, n_frames=4,
+            )
+            out = parallel_decompress_container(path, 2)
+            assert np.max(np.abs(out - data)) <= EB
+            del out
+            os.remove(path)
+
+        workers = mp.active_children()
+        assert len(workers) >= 2
+        for proc in workers:
+            stale = [
+                h for h in _held_by(proc.pid)
+                if str(tmp_path) in h
+                or (shm.SEGMENT_PREFIX in h and h.endswith("(deleted)"))
+            ]
+            assert stale == [], f"worker {proc.pid} still holds {stale}"
