@@ -26,7 +26,7 @@ bench:
 	$(PY) -m pytest benchmarks/ --benchmark-only -q
 
 ## Record codec + container throughput and machine info into
-## BENCH_pr3.json so future PRs have a trajectory to compare against
+## BENCH_pr9.json so future PRs have a trajectory to compare against
 ## (see benchmarks/record.py).
 bench-record:
 	$(PY) -m benchmarks.record
@@ -62,8 +62,7 @@ store-bench-smoke:
 ## over the shared-memory segment pool, byte-identical to the in-process
 ## codec, with telemetry proving bytes_borrowed >= bytes_copied and a
 ## leak check (no in-process segments, no orphaned /dev/shm entries)
-## after shutdown.  Degrades to a pickle-fallback correctness check on
-## hosts without POSIX shared memory.
+## after shutdown.
 scaling-smoke:
 	timeout 120 $(PY) scripts/scaling_smoke.py
 
@@ -89,10 +88,11 @@ reshard-smoke:
 lowrank-smoke:
 	timeout 150 $(PY) scripts/lowrank_smoke.py
 
-## Compiled index-pass gate: fails unless the C kernel built and loaded
-## (hosts with gcc must never fall back to numpy silently), then checks
-## the golden fixtures and a trialanine stream under every ECQ tree decode
-## byte-identically through the kernel and the numpy fallback.
+## Compiled index-pass gate: fails unless the C kernel builds and loads
+## (`import repro` raises KernelBuildError otherwise), then checks the
+## golden fixtures and a trialanine stream under every ECQ tree decode
+## byte-identically through the kernel and the scalar oracle in
+## tests/core/reference.py.
 kernel-smoke:
 	timeout 120 $(PY) scripts/kernel_smoke.py
 

@@ -10,13 +10,12 @@ decoder in :mod:`repro.bitio.vlc`.
 """
 
 from repro.bitio.writer import BitWriter, pack_uint_rows, uint_to_bits, varlen_bits
-from repro.bitio.reader import BitReader, FieldScanner, gather_uint_fields
+from repro.bitio.reader import BitReader, gather_uint_fields
 from repro.bitio.vlc import decode_prefix_stream
 
 __all__ = [
     "BitWriter",
     "BitReader",
-    "FieldScanner",
     "decode_prefix_stream",
     "gather_uint_fields",
     "pack_uint_rows",

@@ -1,13 +1,9 @@
 """MSB-first bitstream reader backed by an unpacked numpy bit array.
 
-Two batched-decode primitives live beside :class:`BitReader`:
-
-* :func:`gather_uint_fields` reads runs of fixed-width fields at many
-  non-contiguous bit offsets with one vectorised gather — the read-side
-  counterpart of :func:`repro.bitio.writer.pack_uint_rows`;
-* :class:`FieldScanner` walks a stream sequentially with pure-Python
-  integer arithmetic on the packed bytes, which is ~10x cheaper than a
-  numpy round trip for the small scalar fields an index pass reads.
+Beside :class:`BitReader`, :func:`gather_uint_fields` reads runs of
+fixed-width fields at many non-contiguous bit offsets with one vectorised
+gather — the read-side counterpart of
+:func:`repro.bitio.writer.pack_uint_rows`.
 """
 
 from __future__ import annotations
@@ -41,62 +37,6 @@ def gather_uint_fields(
     win = win.reshape(n, count, nbits).astype(np.uint64)
     shifts = np.arange(nbits - 1, -1, -1, dtype=np.uint64)
     return (win << shifts[None, None, :]).sum(axis=2, dtype=np.uint64)
-
-
-class FieldScanner:
-    """Sequential scalar bit-field reads over a packed byte buffer.
-
-    Reads are plain Python integer arithmetic on 16-byte windows of the
-    packed stream — no numpy allocation per field — so an index pass can
-    visit hundreds of thousands of small header fields cheaply.  Bounds are
-    checked against the padded bit length (``8 * len(buffer)``), matching
-    :class:`BitReader` semantics.
-    """
-
-    def __init__(self, data: bytes | bytearray | np.ndarray, pos: int = 0) -> None:
-        if isinstance(data, np.ndarray):
-            data = data.tobytes()
-        self._nbits = 8 * len(data)
-        # 16 zero guard bytes let every read use one fixed-size window.
-        self._buf = bytes(data) + b"\x00" * 16
-        self.pos = pos
-
-    @property
-    def nbits(self) -> int:
-        """Total number of bits available (including byte padding)."""
-        return self._nbits
-
-    def read(self, n: int) -> int:
-        """Read an ``n``-bit unsigned integer (MSB first) and advance."""
-        pos = self.pos
-        if n < 0 or n > 120:
-            raise ParameterError(f"field width must be in [0, 120], got {n}")
-        if pos + n > self._nbits:
-            raise FormatError(
-                f"bitstream underflow: need {n} bits at offset {pos}, "
-                f"have {self._nbits - pos}"
-            )
-        j = pos >> 3
-        word = int.from_bytes(self._buf[j : j + 16], "big")
-        self.pos = pos + n
-        return (word >> (128 - (pos & 7) - n)) & ((1 << n) - 1)
-
-    def skip(self, n: int) -> None:
-        """Advance the cursor by ``n`` bits without decoding."""
-        if n < 0:
-            raise ParameterError("cannot skip a negative number of bits")
-        if self.pos + n > self._nbits:
-            raise FormatError(
-                f"bitstream underflow: need {n} bits at offset {self.pos}, "
-                f"have {self._nbits - self.pos}"
-            )
-        self.pos += n
-
-    def seek(self, bit_offset: int) -> None:
-        """Jump to an absolute bit offset."""
-        if bit_offset < 0 or bit_offset > self._nbits:
-            raise FormatError(f"seek out of range: {bit_offset}")
-        self.pos = bit_offset
 
 
 class BitReader:
@@ -149,10 +89,6 @@ class BitReader:
         """Read a single bit."""
         return int(self._take(1)[0])
 
-    def read_bits_array(self, n: int) -> np.ndarray:
-        """Read ``n`` raw bits as a uint8 0/1 array."""
-        return self._take(n)
-
     def read_uint(self, nbits: int) -> int:
         """Read an ``nbits``-wide unsigned integer (MSB first)."""
         if nbits > 64:
@@ -177,11 +113,6 @@ class BitReader:
     def read_double(self) -> float:
         """Read a float64 stored as 64 raw IEEE bits."""
         return float(np.uint64(self.read_uint(64)).view(np.float64))
-
-    def read_bytes(self, n: int) -> bytes:
-        """Read ``n`` bytes (8·n bits, not necessarily byte-aligned)."""
-        bits = self._take(8 * n)
-        return np.packbits(bits).tobytes()
 
     def seek(self, bit_offset: int) -> None:
         """Jump to an absolute bit offset."""

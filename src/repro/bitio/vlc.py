@@ -136,43 +136,3 @@ def sliding_windows_u16(bits: np.ndarray, width: int) -> np.ndarray:
     win16 = (w24 >> (8 - sh)) & 0xFFFF
     return win16 >> (16 - width)
 
-
-def gather_bit_windows_bytes(
-    by: np.ndarray, offsets: np.ndarray, width: int
-) -> np.ndarray:
-    """Extract ``width``-bit big-endian windows from a *packed* byte stream.
-
-    ``by`` is the ``np.packbits`` form of the bit stream (MSB-first), padded
-    with at least 6 trailing guard bytes so every 7-byte read is in range.
-    Assembles a 56-bit accumulator from 7 byte gathers per offset — ~2x
-    cheaper than the per-bit matrix gather for wide windows.  ``width`` must
-    be ≤ 48 (window start is at most 7 bits into the first byte).
-    """
-    if width > 48:
-        raise FormatError("packed window wider than 48 bits")
-    if offsets.size == 0:
-        return np.zeros(0, dtype=np.uint64)
-    q = offsets >> 3
-    acc = by[q].astype(np.uint64)
-    for j in range(1, 7):
-        acc <<= np.uint64(8)
-        acc |= by[q + j]
-    sh = np.uint64(56 - width) - (offsets & 7).astype(np.uint64)
-    return (acc >> sh) & np.uint64((1 << width) - 1)
-
-
-def gather_bit_windows(bits: np.ndarray, offsets: np.ndarray, width: int) -> np.ndarray:
-    """Extract ``width``-bit big-endian windows at each offset (vectorised).
-
-    Returns a uint64 array: ``out[k]`` holds ``bits[offsets[k] : offsets[k]+width]``
-    interpreted MSB-first.  ``bits`` must already be padded so every window
-    is in range.
-    """
-    if width > 64:
-        raise FormatError("window wider than 64 bits")
-    if offsets.size == 0:
-        return np.zeros(0, dtype=np.uint64)
-    cols = np.arange(width, dtype=np.int64)
-    win = bits[offsets[:, None] + cols[None, :]].astype(np.uint64)
-    shifts = np.arange(width - 1, -1, -1, dtype=np.uint64)
-    return (win << shifts[None, :]).sum(axis=1, dtype=np.uint64)

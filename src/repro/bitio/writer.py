@@ -135,15 +135,6 @@ class BitWriter:
         self._pending.append(bit & 1)
         self._nbits += 1
 
-    def write_bits_array(self, bits: np.ndarray) -> None:
-        """Write a raw array of 0/1 values, first element first."""
-        arr = np.asarray(bits, dtype=np.uint8)
-        if arr.ndim != 1:
-            arr = arr.ravel()
-        self._flush_pending()
-        self._parts.append(arr)
-        self._nbits += arr.size
-
     def write_segments(self, segments: Iterable[np.ndarray]) -> None:
         """Bulk-append precomputed uint8 0/1 bit arrays, in order.
 
@@ -194,33 +185,9 @@ class BitWriter:
         self._parts.append(bits)
         self._nbits += bits.size
 
-    def write_bigint(self, value: int, nbits: int) -> None:
-        """Write an arbitrary-width unsigned integer MSB-first.
-
-        Used by per-block coders (e.g. ZFP's plane coder) whose payloads
-        exceed 64 bits.
-        """
-        if nbits == 0:
-            return
-        if value < 0 or value >> nbits:
-            raise ParameterError(f"value does not fit in {nbits} bits")
-        nbytes = (nbits + 7) // 8
-        arr = np.frombuffer(value.to_bytes(nbytes, "big"), dtype=np.uint8)
-        bits = np.unpackbits(arr)
-        self._flush_pending()
-        self._parts.append(bits[8 * nbytes - nbits :])
-        self._nbits += nbits
-
     def write_double(self, value: float) -> None:
         """Write a float64 as its 64-bit IEEE representation."""
         self.write_uint(int(np.float64(value).view(np.uint64)), 64)
-
-    def write_bytes(self, data: bytes) -> None:
-        """Write raw bytes (8 bits each, not necessarily byte-aligned)."""
-        arr = np.frombuffer(data, dtype=np.uint8)
-        self._flush_pending()
-        self._parts.append(np.unpackbits(arr))
-        self._nbits += 8 * arr.size
 
     def extend(self, other: "BitWriter") -> None:
         """Append another writer's staged bits (cheap; shares arrays)."""

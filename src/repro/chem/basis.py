@@ -142,10 +142,6 @@ class Shell:
     def ncart(self) -> int:
         return ncart(self.l)
 
-    @property
-    def nprim(self) -> int:
-        return len(self.exponents)
-
     def contraction(self) -> tuple[np.ndarray, np.ndarray]:
         """Exponents and fully-normalised contraction coefficients.
 

@@ -68,33 +68,6 @@ class Molecule:
         bohr = coords * ANGSTROM_TO_BOHR
         return cls(name, tuple(Atom(s, tuple(r)) for s, r in zip(symbols, bohr)))
 
-    @classmethod
-    def from_xyz(cls, text: str, name: str | None = None) -> "Molecule":
-        """Parse standard XYZ file content (coordinates in Ångström).
-
-        The first line is the atom count, the second a comment (used as the
-        name unless ``name`` is given), then one ``symbol x y z`` per line.
-        """
-        lines = [ln for ln in text.strip().splitlines()]
-        if len(lines) < 3:
-            raise GeometryError("XYZ input too short")
-        try:
-            n = int(lines[0].split()[0])
-        except (ValueError, IndexError):
-            raise GeometryError(f"bad XYZ atom count line: {lines[0]!r}") from None
-        comment = lines[1].strip()
-        body = lines[2 : 2 + n]
-        if len(body) != n:
-            raise GeometryError(f"XYZ declares {n} atoms but has {len(body)} lines")
-        symbols, coords = [], []
-        for ln in body:
-            parts = ln.split()
-            if len(parts) < 4:
-                raise GeometryError(f"bad XYZ atom line: {ln!r}")
-            symbols.append(parts[0])
-            coords.append([float(x) for x in parts[1:4]])
-        return cls.from_angstrom(name or comment or "molecule", symbols, np.array(coords))
-
     def __len__(self) -> int:
         return len(self.atoms)
 
@@ -123,14 +96,6 @@ class Molecule:
             if sym in counts:
                 parts.append(f"{sym}{counts[sym] if counts[sym] > 1 else ''}")
         return "".join(parts)
-
-    def to_xyz(self) -> str:
-        """Render as XYZ text (Ångström)."""
-        lines = [str(len(self)), self.name]
-        for a in self.atoms:
-            x, y, z = (c / ANGSTROM_TO_BOHR for c in a.position)
-            lines.append(f"{a.symbol:<2} {x:15.8f} {y:15.8f} {z:15.8f}")
-        return "\n".join(lines) + "\n"
 
     def nuclear_repulsion(self) -> float:
         """Nuclear repulsion energy in Hartree (geometry sanity metric)."""

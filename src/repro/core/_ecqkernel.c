@@ -1,12 +1,11 @@
 /*
  * Compiled index pass for PaSTRI streams (see repro/core/kernel.py).
  *
- * One call walks every block of a stream body exactly as
- * PaSTRICompressor._index_pass_numpy does: it reads the kind tag, P_b and
- * EC_b,max, skips the PQ/SQ run, raw doubles and sparse outlier runs by
+ * One call walks every block of a stream body: it reads the kind tag, P_b
+ * and EC_b,max, skips the PQ/SQ run, raw doubles and sparse outlier runs by
  * arithmetic, and decodes each dense ECQ segment token by token (trees 1-5,
  * paper Fig. 7).  Every field read and skip is checked against the stream's
- * bit length, and every dense segment against the window decode_ecq uses,
+ * bit length, and every dense segment against the window
  * min(nbits - start, N * max_token_len).  Bytes past the end of the blob
  * are never loaded: reads that straddle the end see zero bits instead.
  *
@@ -158,7 +157,7 @@ static int decode_segment(const stream_t *s, int64_t *pos, int64_t wend,
 /*
  * Walk n_blocks blocks starting at bit `pos` of buf[0..nbytes).
  *
- * Outputs mirror the numpy parse tuple and live in two caller buffers, so
+ * Outputs form the Python parse tuple and live in two caller buffers, so
  * one call passes few pointers:
  *   flags: kind[n_blocks], sparse[n_blocks];
  *   ints:  pb, ecb, off, sp_nol, sp_off [n_blocks each], dense_idx

@@ -15,8 +15,8 @@ bit emission/parsing groups blocks by their ``(kind, P_b, EC_b,max,
 sparse)`` class so each class's fixed-width fields move through one bit
 matrix and each class's ECQ symbols through one tree-codec call.  The
 remaining Python loops only stage precomputed arrays (compress); the
-sequential decompress index pass is one call into a compiled kernel
-(:mod:`repro.core.kernel`), with a numpy walk as fallback; see
+sequential decompress index pass is one call into the compiled kernel
+(:mod:`repro.core.kernel`, built with gcc at import and required); see
 ``docs/ALGORITHM.md`` §"Batched execution".  The emitted bits are
 *identical* to the historical per-block loop — batching is an execution
 strategy, not a format change.
@@ -30,7 +30,6 @@ from repro import api, telemetry
 from repro.bitio import (
     BitReader,
     BitWriter,
-    FieldScanner,
     gather_uint_fields,
     pack_uint_rows,
     uint_to_bits,
@@ -45,7 +44,6 @@ from repro.core.scaling import ScalingMetric, fit_pattern_batch
 from repro.core.stats import BlockRecord, StreamStats
 from repro.core.trees import (
     TREE_IDS,
-    ECQDecoder,
     encode_ecq,
     encode_ecq2_bits,
     encode_ecq_rows,
@@ -136,6 +134,10 @@ class PaSTRICompressor:
         if (dims is None) == (config is None):
             raise ParameterError("provide exactly one of dims= or config=")
         self.spec = BlockSpec(dims) if dims is not None else BlockSpec.from_config(config)
+        if self.spec.block_size > fmt.MAX_BLOCK_SIZE:
+            raise ParameterError(
+                f"block size {self.spec.block_size} exceeds {fmt.MAX_BLOCK_SIZE}"
+            )
         self.metric = ScalingMetric.coerce(metric)
         if tree_id not in TREE_IDS:
             raise ParameterError(f"tree_id must be one of {TREE_IDS}")
@@ -145,9 +147,6 @@ class PaSTRICompressor:
         self.ecq_mode = ecq_mode
         self.collect_stats = collect_stats
         self.last_stats: StreamStats | None = None
-        # Adaptive ECQ scan-bound estimates, shared across decompress calls
-        # keyed by tree id (see ECQDecoder: stale hints cost only a retry).
-        self._scan_hints: dict[int, dict[int, float]] = {}
         # Sequential index-pass results keyed by blob, so repeat decodes of a
         # held stream (the SCF-store access pattern) only pay the batched
         # reconstruction.  Entries are read-only once stored.
@@ -606,89 +605,9 @@ class PaSTRICompressor:
         return self._reconstruct(hdr, r, parse)
 
     def _index_pass(self, blob: bytes, hdr: fmt.StreamHeader, r: BitReader) -> tuple:
-        """Sequential field-location pass; returns the read-only parse tuple.
-
-        One call into the compiled kernel (:mod:`repro.core.kernel`) when it
-        is available, else :meth:`_index_pass_numpy` — same tuple, same
-        exception classes; the numpy pass is also the kernel's test oracle.
-        """
-        lib = kernel.load()
-        if lib is None or hdr.spec.block_size > kernel.MAX_BLOCK_SIZE:
-            return self._index_pass_numpy(blob, hdr, r)
-        return kernel.index_pass(lib, blob, hdr, r.pos, MAX_FIELD_BITS, MAX_ECB)
-
-    def _index_pass_numpy(
-        self, blob: bytes, hdr: fmt.StreamHeader, r: BitReader
-    ) -> tuple:
-        """Index pass in Python + numpy: a scalar field walk that decodes
-        each dense ECQ segment with the vectorised event-chain decoder."""
-        spec = hdr.spec
-        M, L, N = spec.num_sb, spec.sb_size, spec.block_size
-        idx_bits = max(1, (N - 1).bit_length())
-        nol_bits = N.bit_length()
-        n_b = hdr.n_blocks
-        bits = r.bits
-        kind_arr = np.zeros(n_b, dtype=np.int8)
-        pb_arr = np.zeros(n_b, dtype=np.int64)
-        ecb_arr = np.zeros(n_b, dtype=np.int64)
-        off_arr = np.zeros(n_b, dtype=np.int64)  # PQ start / raw-data start
-        sp_nol = np.zeros(n_b, dtype=np.int64)
-        sp_off = np.zeros(n_b, dtype=np.int64)
-        sparse_mask = np.zeros(n_b, dtype=bool)
-        dense_ids: list[int] = []
-        dense_vals: list[np.ndarray] = []
-        decoder = ECQDecoder(
-            bits, hdr.tree_id, hints=self._scan_hints.setdefault(hdr.tree_id, {})
-        )
-        sc = FieldScanner(blob, pos=r.pos)
-        pqsq_bits = L + M
-
-        for b in range(n_b):
-            kind = sc.read(2)
-            if kind == fmt.KIND_ZERO:
-                continue
-            if kind == fmt.KIND_RAW:
-                kind_arr[b] = fmt.KIND_RAW
-                off_arr[b] = sc.pos
-                sc.skip(64 * N)
-                continue
-            if kind != fmt.KIND_PATTERNED:
-                raise FormatError(f"bad block kind {kind} in block {b}")
-            kind_arr[b] = fmt.KIND_PATTERNED
-            pb = sc.read(6)
-            if not 1 <= pb <= MAX_FIELD_BITS:
-                raise FormatError(f"bad P_b {pb} in block {b}")
-            pb_arr[b] = pb
-            off_arr[b] = sc.pos
-            sc.skip(pqsq_bits * pb)
-            eb_max = sc.read(6)
-            ecb_arr[b] = eb_max
-            if eb_max < 2:
-                continue
-            if eb_max > MAX_ECB:
-                raise FormatError(f"bad EC_b,max {eb_max} in block {b}")
-            if sc.read(1):  # sparse ECQ: record the entry run, skip it
-                if idx_bits + eb_max > 64:
-                    raise FormatError(f"oversized outlier fields in block {b}")
-                sparse_mask[b] = True
-                cnt = sc.read(nol_bits)
-                sp_nol[b] = cnt
-                sp_off[b] = sc.pos
-                sc.skip(cnt * (idx_bits + eb_max))
-            else:  # dense ECQ: the end offset is only known by decoding
-                vals, end = decoder.decode(sc.pos, N, eb_max)
-                dense_ids.append(b)
-                dense_vals.append(vals)
-                sc.seek(end)
-
-        dense_idx = np.asarray(dense_ids, dtype=np.int64)
-        dense_mat = (
-            np.concatenate(dense_vals).reshape(dense_idx.size, N)
-            if dense_ids
-            else np.zeros((0, N), dtype=np.int64)
-        )
-        return (kind_arr, pb_arr, ecb_arr, off_arr, sp_nol, sp_off,
-                sparse_mask, dense_idx, dense_mat, sc.pos)
+        """Sequential field-location pass: one call into the compiled kernel
+        (:mod:`repro.core.kernel`); returns the read-only parse tuple."""
+        return kernel.index_pass(blob, hdr, r.pos, MAX_FIELD_BITS, MAX_ECB)
 
     def _reconstruct(
         self, hdr: fmt.StreamHeader, r: BitReader, parse: tuple

@@ -58,6 +58,11 @@ _METRIC_ORDER = [m for m in ScalingMetric]
 BLOCK_HEADER_BITS_PATTERNED = 2 + 6 + 6 + 1  # kind + P_b + EC_b,max + sparse flag
 BLOCK_HEADER_BITS_SIMPLE = 2
 
+#: Largest block (elements) a stream may declare: keeps every field width
+#: and skip length the index-pass kernel computes inside int64.  Real shell
+#: blocks stop at (hh|hh) = 194,481 elements.
+MAX_BLOCK_SIZE = 1 << 24
+
 
 @dataclass(frozen=True)
 class StreamHeader:
@@ -106,6 +111,8 @@ def read_header(r: BitReader) -> StreamHeader:
     if not (eb > 0):
         raise FormatError(f"bad error bound {eb}")
     dims = tuple(r.read_uint(16) for _ in range(4))
+    if min(dims) < 1 or dims[0] * dims[1] * dims[2] * dims[3] > MAX_BLOCK_SIZE:
+        raise FormatError(f"bad block geometry {dims}")
     n_blocks = r.read_uint(48)
     n_tail = r.read_uint(32)
     return StreamHeader(

@@ -1,18 +1,18 @@
 """Loader and wrapper for the compiled index-pass kernel (``_ecqkernel.c``).
 
 The PaSTRI index pass is a sequential walk over fixed-width block fields
-and prefix-coded ECQ tokens — a tight scalar loop that numpy can only
-emulate segment by segment.  :func:`load` builds the C source once with the
-local ``gcc -O2 -shared -fPIC`` into ``_build/`` beside this file, under a
-name carrying the source hash and platform tag, and opens it with
-:mod:`ctypes`.  The build writes to a temp file in that directory and
+and prefix-coded ECQ tokens — a tight scalar loop, which is what the paper's
+decoder is too.  Importing this module builds the C source once with the
+local ``gcc -O2 -shared -fPIC`` (:data:`CC`) into ``_build/`` beside this
+file, under a name carrying the source hash and platform tag, and opens it
+with :mod:`ctypes`.  The build writes to a temp file in that directory and
 ``os.replace``-s it into place, so concurrent processes cannot race; gcc's
 own scratch files also stay inside ``_build/`` and are removed with it.
 
-When the kernel cannot be built or opened (no gcc, a read-only tree) the
-first :func:`load` warns once and returns ``None`` for the rest of the
-process; :class:`~repro.core.compressor.PaSTRICompressor` then runs its
-numpy index pass, which is also the kernel's test oracle.
+The kernel is required: on a host where it cannot be built or opened (no
+gcc, a read-only tree) the import raises
+:class:`~repro.errors.KernelBuildError`, whose message names the compiler
+command, the source, the build directory and gcc's stderr.
 """
 
 from __future__ import annotations
@@ -24,24 +24,16 @@ import shutil
 import subprocess
 import sysconfig
 import tempfile
-import warnings
 
 import numpy as np
 
-from repro.errors import FormatError
+from repro.core.header import MAX_BLOCK_SIZE
+from repro.errors import FormatError, KernelBuildError
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 SOURCE = os.path.join(_HERE, "_ecqkernel.c")
 BUILD_DIR = os.path.join(_HERE, "_build")
 CC = ("gcc", "-O2", "-shared", "-fPIC")
-
-#: Largest block (elements) the kernel walks: keeps every field width and
-#: skip length it computes inside int64.  Real shell blocks stop at
-#: (hh|hh) = 194,481 elements; larger geometries take the numpy pass.
-MAX_BLOCK_SIZE = 1 << 24
-
-_UNSET = object()
-_lib = _UNSET
 
 _ARGTYPES = [
     ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,  # buf, nbytes, pos
@@ -90,29 +82,23 @@ def _open(path: str) -> ctypes.CDLL:
     return lib
 
 
-def load() -> ctypes.CDLL | None:
-    """The compiled kernel, built on first use; ``None`` when unavailable.
+def load() -> ctypes.CDLL:
+    """The compiled kernel, built first when no cached library exists.
 
-    The outcome is decided once per process: a failed build warns once and
-    is not retried.
+    Raises :class:`KernelBuildError` when it cannot be built or opened.
     """
-    global _lib
-    if _lib is _UNSET:
-        try:
-            path = library_path()
-            if not os.path.exists(path):
-                build(path)
-            _lib = _open(path)
-        except (OSError, subprocess.SubprocessError) as exc:
-            detail = getattr(exc, "stderr", None) or b""
-            warnings.warn(
-                "compiled PaSTRI index pass unavailable, decoding with numpy "
-                f"instead: {exc} {detail.decode(errors='replace').strip()}".rstrip(),
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            _lib = None
-    return _lib
+    try:
+        path = library_path()
+        if not os.path.exists(path):
+            build(path)
+        return _open(path)
+    except (OSError, subprocess.SubprocessError) as exc:
+        stderr = getattr(exc, "stderr", None) or b""
+        raise KernelBuildError(
+            f"cannot build the compiled PaSTRI index pass with `{' '.join(CC)}` "
+            f"from {SOURCE} into {BUILD_DIR} (gcc is required): {exc}\n"
+            f"{stderr.decode(errors='replace').strip()}".rstrip()
+        ) from exc
 
 
 _ERRORS = {
@@ -124,22 +110,26 @@ _ERRORS = {
 }
 
 
-def index_pass(
-    lib: ctypes.CDLL, blob: bytes, hdr, pos: int, max_pb: int, max_ecb: int
-) -> tuple:
+def index_pass(blob: bytes, hdr, pos: int, max_pb: int, max_ecb: int) -> tuple:
     """Run the kernel over ``blob``'s block body starting at bit ``pos``.
 
     ``hdr`` is the stream's parsed header; ``max_pb`` and ``max_ecb`` are
     the largest legal P_b and EC_b,max field values.
 
-    Returns the parse tuple of ``PaSTRICompressor._index_pass_numpy`` with
-    identical dtypes and shapes.  Dense rows are written into scratch sized
-    by how many dense blocks the remaining bits could hold (each costs at
-    least its fixed fields plus one bit per token), then trimmed in place.
+    Returns the parse tuple ``(kind, pb, ecb, off, sp_nol, sp_off, sparse,
+    dense_idx, dense_mat, body_end)`` that
+    :meth:`~repro.core.compressor.PaSTRICompressor._reconstruct` consumes;
+    a corrupt stream raises :class:`FormatError`, as does a block larger
+    than :data:`MAX_BLOCK_SIZE`.  Dense rows are written into scratch
+    sized by how many dense blocks the remaining bits could hold (each
+    costs at least its fixed fields plus one bit per token), then trimmed
+    in place.
     """
     n_blocks, tree_id = hdr.n_blocks, hdr.tree_id
     M, L = hdr.spec.num_sb, hdr.spec.sb_size
     N = M * L
+    if N > MAX_BLOCK_SIZE:
+        raise FormatError(f"block size {N} exceeds {MAX_BLOCK_SIZE}")
     nbits = 8 * len(blob)
     cap = min(n_blocks, max(0, nbits - pos) // (2 + 6 + (L + M) + 6 + 1 + N))
     # Per-block outputs share two buffers (layout in _ecqkernel.c): each
@@ -149,7 +139,7 @@ def index_pass(
     ints = np.zeros(5 * n_blocks + cap + 5, dtype=np.int64)
     dense_mat = np.empty((cap, N), dtype=np.int64)
     buf = np.frombuffer(blob, dtype=np.uint8)
-    status = lib.pastri_index_pass(
+    status = _LIB.pastri_index_pass(
         buf.ctypes.data, buf.size, pos, n_blocks, M, L, tree_id, max_pb, max_ecb,
         flags.ctypes.data, ints.ctypes.data, dense_mat.ctypes.data, cap,
     )
@@ -171,5 +161,6 @@ def index_pass(
     return (flags[0], pb, ecb, off, sp_nol, sp_off, flags[1].view(bool),
             dense_idx, dense_mat, int(info[0]))
 
-# Decide at import, so forked pool workers inherit the loaded kernel.
-load()
+
+# Load at import, so forked pool workers inherit the loaded kernel.
+_LIB = load()

@@ -106,11 +106,6 @@ def error_correction_codes(
     return np.rint((block2d - approx2d) / working_binsize(eb)).astype(np.int64)
 
 
-def apply_error_correction(approx2d: np.ndarray, ecq2d: np.ndarray, eb: float) -> np.ndarray:
-    """Decompression side of Eq. 10: add ``ECQ · 2·EB`` back."""
-    return approx2d + ecq2d.astype(np.float64) * working_binsize(eb)
-
-
 def ecq_bin_numbers(ecq: np.ndarray) -> np.ndarray:
     """Fig. 6 binning: bits needed per value — 0→1, ±1→2, ±[2,3]→3, ...
 
@@ -171,14 +166,6 @@ def quantize_block(
     approx = reconstruct_block(pq, sq, eb, s_b)
     ecq = error_correction_codes(block2d, approx, eb)
     return BlockQuantization(pq=pq, sq=sq, ecq=ecq, p_b=p_b, s_b=s_b, ec_b_max=ec_b_max(ecq))
-
-
-def theoretical_lower_bound_ecb(dev_ext: float, eb: float) -> int:
-    """Eq. 19: ``lower_bound(EC_b) = ceil(log2(|Dev_ext| / EB - 1))`` (≥1)."""
-    c1 = dev_ext / eb - 1.0
-    if c1 <= 1.0:
-        return 1
-    return int(np.ceil(np.log2(c1)))
 
 
 def naive_s_bits(eb: float) -> int:

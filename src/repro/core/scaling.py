@@ -235,17 +235,3 @@ def _sign_correction_batch(blocks3d: np.ndarray, patterns: np.ndarray) -> np.nda
     signs[signs == 0] = 1.0
     return signs
 
-
-def metric_cost_rank() -> list[ScalingMetric]:
-    """Metrics ordered by computational cost, cheapest first (paper §IV-A).
-
-    ER needs one argmax; FR one gather; AR/AAR a mean; IS a max-min plus
-    sign handling.  Used by documentation and the fig4 harness narrative.
-    """
-    return [
-        ScalingMetric.ER,
-        ScalingMetric.FR,
-        ScalingMetric.AR,
-        ScalingMetric.AAR,
-        ScalingMetric.IS,
-    ]

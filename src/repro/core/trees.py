@@ -15,20 +15,16 @@ frequency counting, and fully block-local (paper §IV-C).
   winner and PaSTRI's default.
 
 Non-zero "other" payloads use offset-binary in ``EC_b`` bits (value +
-``2^(EC_b - 1)``).  Decoding uses the vectorised pointer-jumping prefix
-decoder from :mod:`repro.bitio.vlc` — no per-symbol Python loop.
+``2^(EC_b - 1)``).  This module holds the encoders and the size formulas;
+decoding is the compiled index pass (:mod:`repro.core.kernel`), which walks
+the tokens one by one as the paper's decoder does.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.bitio.vlc import (
-    decode_prefix_stream,
-    gather_bit_windows,
-    gather_bit_windows_bytes,
-)
-from repro.errors import FormatError, ParameterError
+from repro.errors import ParameterError
 
 TREE_IDS = (1, 2, 3, 4, 5)
 
@@ -352,393 +348,3 @@ def encoded_size_bits(ecq: np.ndarray, ecb: int, tree_id: int) -> int:
             return n0 + 2 * (n - n0)
         return n0 + 3 * n1 + (2 + ecb) * nother
     raise ParameterError(f"unknown tree id {tree_id}")
-
-
-# ---------------------------------------------------------------------------
-# Decoding: vectorised prefix decode via pointer jumping.
-# ---------------------------------------------------------------------------
-
-
-def _max_token_len(ecb: int, tree_id: int) -> int:
-    return {1: 1 + ecb, 2: 3 + ecb, 3: 3 + ecb, 4: 2 * (ecb - 1), 5: 3 + ecb}[tree_id]
-
-
-#: Rank-table pad for :func:`_decode_events`: must exceed the longest token
-#: of any event-decoded tree (3 + MAX_ECB for tree 2).
-_EVENT_PAD = 44
-
-
-def _decode_events(
-    bits: np.ndarray,
-    start: int,
-    n: int,
-    ecb: int,
-    tree_id: int,
-    bound: int,
-    packed: np.ndarray | None = None,
-) -> tuple[np.ndarray, int]:
-    """Sparse event-chain decode for trees whose zero token is a single 0.
-
-    Every tree encodes 0 as a lone ``0`` bit and starts every other token
-    with a ``1``, so the sequential token chain only *branches* at 1-bits:
-    runs of zero tokens between two 1-bits advance the chain for free.  We
-    therefore build the jump graph over the window's 1-bit positions
-    (``K = popcount(window)`` nodes, typically several times smaller than
-    the window) with per-edge token counts, rank it with blocked binary
-    lifting, and scatter the decoded nonzero values by their token index.
-    Handles trees 1, 2, 3 and tree 4 at EC_b = 2 (the tree-5 small-range
-    branch); generic tree 4 keeps the dense per-offset scan.
-
-    Note that not every 1-bit is a token head — escape payloads contain
-    arbitrary bits — but the chain only ever *lands* on true heads, so the
-    extra graph nodes are merely never visited.
-    """
-    window_end = start + bound
-    values = np.zeros(n, dtype=np.int64)
-    win = bits[start:window_end]
-    # Window-relative candidate head positions.  The bool view hits numpy's
-    # fast boolean nonzero path (~5x quicker than nonzero on uint8).
-    ones = win.view(np.bool_).nonzero()[0]
-    k = ones.size
-    if k == 0 or ones[0] >= n:
-        # The first n tokens are all zero bits.
-        end = start + n
-        if end > window_end:
-            raise FormatError("ECQ segment overruns its bound")
-        return values, end
-
-    # Token length at each candidate head.  When the stream extends past the
-    # window the lookahead is a free shifted slice; otherwise reads are
-    # clamped to the window — a clamped (possibly misread) length only ever
-    # belongs to a token that overruns the window, and such a token — if it
-    # is among the first n — fails the end check below.
-    if start + bound + 2 <= bits.size:
-        nxt1 = bits[start + 1 : window_end + 1][ones]
-        look2 = bits[start + 2 : window_end + 2]
-    else:
-        nxt1 = win[np.minimum(ones + 1, bound - 1)]
-        look2 = None
-    nxt2 = None
-    if tree_id == 1:
-        lens = np.full(k, 1 + ecb, dtype=np.int64)
-    elif tree_id == 2:
-        if look2 is not None:
-            nxt2 = look2[ones]
-        else:
-            nxt2 = win[np.minimum(ones + 2, bound - 1)]
-        lens = np.where(nxt1 == 0, 2, np.where(nxt2 == 0, 3, 3 + ecb))
-    elif tree_id == 3:
-        lens = np.where(nxt1 == 0, 2 + ecb, 3)
-    else:  # tree 4 at ecb == 2: tokens are "0" and "1 s"
-        lens = np.full(k, 2, dtype=np.int64)
-
-    # Jump graph over 1-bit positions: from head j the next head is the
-    # first 1-bit at or after the token's end; the edge consumes the token
-    # itself plus the run of zero tokens in between.  Index k is the sink
-    # (end of window).  The "first 1-bit >= p" query is a single gather into
-    # a padded exclusive-popcount table, which is much cheaper than a
-    # searchsorted (the pad absorbs `after` values past the window).
-    after = ones + lens
-    rank_pad = np.empty(bound + _EVENT_PAD, dtype=np.int64)
-    np.cumsum(win, out=rank_pad[:bound])
-    rank_pad[:bound] -= win  # exclusive rank: ones strictly before j
-    rank_pad[bound:] = k
-    nxt_idx = rank_pad[after]
-    ones_ext = np.empty(k + 1, dtype=np.int64)
-    ones_ext[:k] = ones
-    ones_ext[k] = bound
-    cnt = ones_ext[nxt_idx]
-    cnt -= after
-    cnt += 1
-    np.maximum(cnt, 1, out=cnt)  # overrunning tokens stall at the sink
-    tab = np.empty(k + 1, dtype=np.int64)
-    tab[:k] = nxt_idx
-    tab[k] = k
-    ctab = np.empty(k + 1, dtype=np.int64)
-    ctab[:k] = cnt
-    ctab[k] = 0
-
-    # Blocked binary lifting (see token_start_positions): a few small-stride
-    # tables plus a short scalar anchor walk that stops once n tokens are
-    # covered, then a vectorised fan-out over each anchor's stride.  Table
-    # doubling costs O(k) per level while each walk step costs ~1 µs, so the
-    # cap balances the two.
-    level_count = min(4, (min(n, k) // 128).bit_length())
-    tabs = [tab]
-    ctabs = [ctab]
-    for _ in range(level_count):
-        t, c = tabs[-1], ctabs[-1]
-        ctabs.append(c + c[t])
-        tabs.append(t[t])
-    big_t, big_c = tabs[-1], ctabs[-1]
-    stride = 1 << level_count
-    anchors = np.empty((n >> level_count) + 2, dtype=np.int64)
-    anchor_tok = np.empty(anchors.size, dtype=np.int64)
-    a = 0
-    e = 0
-    tok = int(ones[0])  # zero tokens before the first head
-    while tok < n and e != k:
-        anchors[a] = e
-        anchor_tok[a] = tok
-        a += 1
-        tok += int(big_c[e])
-        e = int(big_t[e])
-
-    # Fan-out: column j of row i is tab^j(anchor_i).  Powers of one function
-    # commute, so composing the level tables in column-doubling order gives
-    # every exponent 0..stride-1 without per-level boolean masks.
-    ev2 = np.empty((a, stride), dtype=np.int64)
-    tix2 = np.empty((a, stride), dtype=np.int64)
-    ev2[:, 0] = anchors[:a]
-    tix2[:, 0] = anchor_tok[:a]
-    w = 1
-    for level in range(level_count):
-        src_e = ev2[:, :w]
-        tix2[:, w : 2 * w] = tix2[:, :w] + ctabs[level][src_e]
-        ev2[:, w : 2 * w] = tabs[level][src_e]
-        w *= 2
-    ev = ev2.ravel()
-    tix = tix2.ravel()
-    keep = (tix < n) & (ev < k)
-
-    # End offset: the last visited head's token, then trailing zero tokens.
-    # (tix is not sorted in ravel order, so find its masked maximum.)
-    last_flat = int(np.argmax(np.where(keep, tix, -1)))
-    last_e, last_t = int(ev[last_flat]), int(tix[last_flat])
-    end = start + int(ones[last_e] + lens[last_e]) + (n - 1 - last_t)
-    if end > window_end:
-        raise FormatError("ECQ segment overruns its bound")
-
-    ev, tix = ev[keep], tix[keep]
-    heads = ones[ev] + start
-    if tree_id == 1:
-        payload = _gather_payload(bits, packed, heads + 1, ecb)
-        values[tix] = _offset_decode(payload, ecb)
-    elif tree_id == 2:
-        b1h, b2h = nxt1[ev], nxt2[ev]
-        values[tix[b1h == 0]] = 1
-        values[tix[(b1h == 1) & (b2h == 0)]] = -1
-        esc = (b1h == 1) & (b2h == 1)
-        if esc.any():
-            payload = _gather_payload(bits, packed, heads[esc] + 3, ecb)
-            values[tix[esc]] = _offset_decode(payload, ecb)
-    elif tree_id == 3:
-        b1h = nxt1[ev]
-        pm = b1h == 1
-        if pm.any():
-            sign_bit = bits[heads[pm] + 2]
-            values[tix[pm]] = 1 - 2 * sign_bit.astype(np.int64)
-        esc = b1h == 0
-        if esc.any():
-            payload = _gather_payload(bits, packed, heads[esc] + 2, ecb)
-            values[tix[esc]] = _offset_decode(payload, ecb)
-    else:  # tree 4 at ecb == 2: sign bit follows the head
-        values[tix] = 1 - 2 * nxt1[ev].astype(np.int64)
-    return values, end
-
-
-def _gather_payload(
-    bits: np.ndarray, packed: np.ndarray | None, offsets: np.ndarray, width: int
-) -> np.ndarray:
-    """Payload gather: packed-byte reads when available, bit matrix otherwise."""
-    if packed is None or offsets.size < 16:
-        return gather_bit_windows(bits, offsets, width)
-    return gather_bit_windows_bytes(packed, offsets, width)
-
-
-def decode_ecq(
-    bits: np.ndarray,
-    start: int,
-    n: int,
-    ecb: int,
-    tree_id: int,
-    scan_limit: int | None = None,
-    packed: np.ndarray | None = None,
-) -> tuple[np.ndarray, int]:
-    """Decode ``n`` ECQ values from ``bits`` starting at bit ``start``.
-
-    Returns ``(values, end_bit_offset)``.  The scan is bounded by
-    ``n × max_token_length`` so per-block decode cost is independent of the
-    total stream length.  ``scan_limit`` optionally tightens that bound
-    further: the scan then costs O(scan_limit) instead of O(n × max_len),
-    and raises :class:`FormatError` if the segment does not fit — a
-    *successful* bounded scan is always exact, because every token length is
-    decided by bits inside the token itself (prefix property), so a scan
-    that ends within the bound never consulted padding.
-    :class:`ECQDecoder` exploits this with an adaptive guess-and-retry.
-    """
-    _check_ecb(ecb)
-    if tree_id not in _ENCODERS:
-        raise ParameterError(f"unknown tree id {tree_id}")
-    if n == 0:
-        return np.zeros(0, dtype=np.int64), start
-    bound = min(bits.size - start, n * _max_token_len(ecb, tree_id))
-    if scan_limit is not None:
-        bound = min(bound, scan_limit)
-
-    if tree_id == 5:
-        # Tree 5's small-range branch is identical to tree 4 at EC_b = 2.
-        tree_id = 4 if ecb == 2 else 3
-    if tree_id != 4 or ecb == 2:
-        # Sparse event-chain decode: cost scales with the number of set
-        # bits in the window, not the window size.
-        return _decode_events(bits, start, n, ecb, tree_id, bound, packed)
-    view = bits[start : start + bound]
-
-    # The length callbacks receive offsets 0..W-1 (decode_prefix_stream's
-    # contract), so b[off + k] is just the contiguous slice b[k : k + W] —
-    # plain views instead of fancy-index gathers.
-    if tree_id == 1:
-        def length_fn(b, off):
-            return np.where(b[: off.size] == 0, 1, 1 + ecb)
-        lookahead = 1
-    elif tree_id == 2:
-        def length_fn(b, off):
-            w = off.size
-            b0, b1, b2 = b[:w], b[1 : 1 + w], b[2 : 2 + w]
-            return np.where(b0 == 0, 1, np.where(b1 == 0, 2, np.where(b2 == 0, 3, 3 + ecb)))
-        lookahead = 3
-    elif tree_id == 3:
-        def length_fn(b, off):
-            w = off.size
-            b0, b1 = b[:w], b[1 : 1 + w]
-            return np.where(b0 == 0, 1, np.where(b1 == 0, 2 + ecb, 3))
-        lookahead = 2
-    else:  # tree 4
-        def length_fn(b, off):
-            w = off.size
-            ones = np.zeros(w, dtype=np.int64)
-            alive = np.ones(w, dtype=bool)
-            for k in range(ecb - 1):
-                alive &= b[k : k + w] == 1
-                ones += alive
-            top = ones == ecb - 1
-            return np.where(top, 2 * (ecb - 1), 2 * ones + 1)
-        lookahead = ecb - 1
-
-    positions, lengths = decode_prefix_stream(view, 0, n, length_fn, lookahead)
-    end = int(positions[-1] + lengths[-1])
-    if end > bound:
-        raise FormatError("ECQ segment overruns its bound")
-
-    values = np.zeros(n, dtype=np.int64)
-    padded = np.concatenate([view, np.zeros(_max_token_len(ecb, tree_id), dtype=np.uint8)])
-
-    if tree_id == 1:
-        others = lengths == 1 + ecb
-        if others.any():
-            payload = gather_bit_windows(padded, positions[others] + 1, ecb)
-            values[others] = _offset_decode(payload, ecb)
-    elif tree_id == 2:
-        values[lengths == 2] = 1
-        values[lengths == 3] = -1
-        others = lengths == 3 + ecb
-        if others.any():
-            payload = gather_bit_windows(padded, positions[others] + 3, ecb)
-            values[others] = _offset_decode(payload, ecb)
-    elif tree_id == 3:
-        three = lengths == 3
-        if three.any():
-            sign_bit = padded[positions[three] + 2]
-            values[three] = 1 - 2 * sign_bit.astype(np.int64)
-        others = lengths == 2 + ecb
-        if others.any():
-            payload = gather_bit_windows(padded, positions[others] + 2, ecb)
-            values[others] = _offset_decode(payload, ecb)
-    else:  # tree 4
-        top = lengths == 2 * (ecb - 1)
-        bins = np.where(top, ecb, (lengths + 1) // 2)
-        nz = bins > 1
-        if nz.any():
-            w = (bins[nz] - 1).astype(np.int64)
-            pay_start = positions[nz] + np.where(top[nz], ecb - 1, bins[nz])
-            # Gather at the widest payload width, then shift down per value.
-            wmax = int(w.max())
-            raw = gather_bit_windows(padded, pay_start, wmax)
-            payload = (raw >> (wmax - w).astype(np.uint64)).astype(np.uint64)
-            half = np.uint64(1) << (w - 1).astype(np.uint64)
-            neg = payload >= half
-            # s=0: payload = m - half;  s=1: payload = m  (m = |value|)
-            mag = (payload + half * (~neg).astype(np.uint64)).astype(np.int64)
-            values[nz] = np.where(neg, -mag, mag)
-    return values, start + end
-
-
-class ECQDecoder:
-    """Stateful ECQ segment decoder with adaptive scan bounds.
-
-    :func:`decode_ecq` must scan up to ``n × max_token_length`` bits per
-    segment because the segment length is not stored; on real ERI data the
-    average token is ~3-5 bits, so the worst-case window over-scans by
-    5-10x.  This decoder tracks a running bits-per-symbol estimate across
-    segments of one stream and first tries a scan bounded by ~1.5x that
-    estimate, falling back to the full window only when the optimistic
-    bound fails (the bounded scan is exact whenever it succeeds — see
-    :func:`decode_ecq`).  The decompressor's index pass holds one instance
-    per stream.
-    """
-
-    #: Initial fill-ratio guess (avg token bits / max token bits) and the
-    #: headroom factor applied on top of the running estimate.
-    _INITIAL_FILL = 0.6
-    _HEADROOM = 1.25
-
-    def __init__(
-        self, bits: np.ndarray, tree_id: int, hints: dict[int, float] | None = None
-    ) -> None:
-        if tree_id not in _ENCODERS:
-            raise ParameterError(f"unknown tree id {tree_id}")
-        self._bits = bits
-        self._tree_id = tree_id
-        # Bits/symbol varies strongly with EC_b,max, so track one average
-        # per ecb value, seeded from a tree-wide fill-ratio estimate.  A
-        # caller decoding many streams of similar data can pass a shared
-        # ``hints`` dict so estimates persist across streams; stale hints
-        # only cost a bounded-scan retry, never correctness.
-        self._avg_by_ecb: dict[int, float] = {} if hints is None else hints
-        self._fill = self._INITIAL_FILL
-        # Packed-byte mirror of the stream for fast payload window reads
-        # (6 guard bytes so 7-byte accumulator reads never run off the end).
-        self._packed = np.concatenate(
-            [np.packbits(bits), np.zeros(8, dtype=np.uint8)]
-        )
-
-    def decode(self, start: int, n: int, ecb: int) -> tuple[np.ndarray, int]:
-        """Decode one ``n``-symbol segment at ``start``; returns ``(values, end)``."""
-        _check_ecb(ecb)
-        if n == 0:
-            return np.zeros(0, dtype=np.int64), start
-        max_len = _max_token_len(ecb, self._tree_id)
-        full = n * max_len
-        avg = self._avg_by_ecb.get(ecb)
-        if avg is None and self._avg_by_ecb:
-            # First sighting of this ecb: extrapolate from the nearest seen
-            # value — bits/symbol grows roughly linearly with the payload
-            # width, so scale by the escape-token lengths.
-            near = min(self._avg_by_ecb, key=lambda seen: abs(seen - ecb))
-            avg = self._avg_by_ecb[near] * (2.0 + ecb) / (2.0 + near)
-        if avg is None:
-            avg = self._fill * max_len
-        guess = int(avg * self._HEADROOM * n) + 256
-        while True:
-            limit = guess if guess < full else None
-            try:
-                values, end = decode_ecq(
-                    self._bits,
-                    start,
-                    n,
-                    ecb,
-                    self._tree_id,
-                    scan_limit=limit,
-                    packed=self._packed,
-                )
-                break
-            except FormatError:
-                if limit is None:
-                    raise  # full-window scan failed: genuinely corrupt
-                guess *= 4  # bound too tight; grow geometrically, not to full
-        seen = (end - start) / n
-        prev = self._avg_by_ecb.get(ecb)
-        self._avg_by_ecb[ecb] = seen if prev is None else prev + 0.3 * (seen - prev)
-        self._fill += 0.2 * (seen / max_len - self._fill)
-        return values, end

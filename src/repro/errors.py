@@ -30,6 +30,16 @@ class ChecksumError(FormatError):
     """
 
 
+class KernelBuildError(ReproError):
+    """The compiled PaSTRI index-pass kernel could not be built or loaded.
+
+    Raised when :mod:`repro.core.kernel` is imported on a host where the
+    compiler it names cannot produce a loadable library; the message
+    carries the compiler command, the source, the build directory and the
+    compiler's stderr.
+    """
+
+
 class ParameterError(ReproError, ValueError):
     """An invalid user-supplied parameter (error bound, block dims, ...)."""
 

@@ -5,7 +5,6 @@ import pytest
 
 from repro.bitio.vlc import (
     decode_prefix_stream,
-    gather_bit_windows,
     sliding_windows_u16,
     token_start_positions,
 )
@@ -66,23 +65,13 @@ def test_decode_prefix_stream_truncation_raises():
         decode_prefix_stream(stream, 0, 3, length_fn, 1)
 
 
-def test_gather_bit_windows_values():
-    bits = bits_of("1011001110")
-    got = gather_bit_windows(bits, np.array([0, 3, 6]), 3)
-    assert got.tolist() == [0b101, 0b100, 0b111]
-
-
-def test_gather_bit_windows_empty_offsets():
-    assert gather_bit_windows(bits_of("101"), np.zeros(0, dtype=np.int64), 2).size == 0
-
-
 def test_sliding_windows_match_gather(rng):
     bits = (rng.random(200) < 0.5).astype(np.uint8)
     for width in (1, 5, 8, 13, 16):
         win = sliding_windows_u16(bits, width)
         offsets = np.arange(bits.size - width, dtype=np.int64)
-        want = gather_bit_windows(bits, offsets, width)
-        assert np.array_equal(win[: offsets.size], want.astype(np.int64))
+        want = [int("".join(map(str, bits[o : o + width])), 2) for o in offsets]
+        assert win[: offsets.size].tolist() == want
 
 
 def test_sliding_windows_rejects_wide_window():

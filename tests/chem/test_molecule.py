@@ -37,32 +37,6 @@ def test_empty_molecule_rejected():
         Molecule("empty", ())
 
 
-def test_xyz_roundtrip():
-    mol = Molecule.from_angstrom(
-        "water", ["O", "H", "H"],
-        np.array([[0.0, 0.0, 0.0], [0.96, 0.0, 0.0], [-0.24, 0.93, 0.0]]),
-    )
-    again = Molecule.from_xyz(mol.to_xyz())
-    assert again.symbols == mol.symbols
-    assert np.allclose(again.coordinates, mol.coordinates, atol=1e-6)
-
-
-def test_from_xyz_parses_counts_and_comment():
-    text = "2\nmy dimer\nH 0 0 0\nHe 0 0 1.5\nextra junk line"
-    mol = Molecule.from_xyz(text)
-    assert mol.name == "my dimer"
-    assert mol.symbols == ["H", "He"]
-
-
-@pytest.mark.parametrize(
-    "bad",
-    ["", "x\ncomment\nH 0 0 0", "2\nc\nH 0 0 0", "1\nc\nH 0 0"],
-)
-def test_from_xyz_rejects_malformed(bad):
-    with pytest.raises(GeometryError):
-        Molecule.from_xyz(bad)
-
-
 def test_heavy_atom_indices_skip_hydrogen():
     mol = Molecule("m", (Atom("H", (0, 0, 0)), Atom("C", (1, 0, 0)), Atom("H", (2, 0, 0))))
     assert mol.heavy_atom_indices == [1]

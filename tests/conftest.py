@@ -68,6 +68,9 @@ def eri_engine(small_shell_basis):
 #: test paths that must close every file handle they open (tests/faults/
 #: is out: it leaves handles open on purpose to simulate kills)
 _RESOURCE_GATED = (
+    "tests/bitio/",
+    "tests/core/",
+    "tests/properties/",
     "tests/parallel/",
     "tests/pipeline/",
     "tests/zfp/",
@@ -93,6 +96,16 @@ def pytest_collection_modifyitems(items):
             item.add_marker(unraisable)
         if item.nodeid.startswith(_RESOURCE_GATED):
             item.add_marker(resource)
+
+
+def pytest_collection_finish(session):
+    """Move what collection left alive (modules, classes, functions,
+    module-level data) into the collector's permanent generation: the gated
+    tests' ``gc.collect()`` calls below then walk only objects created
+    since, which keeps each one to a few milliseconds.  Objects a test
+    creates are never frozen, so its leaks still surface."""
+    gc.collect()
+    gc.freeze()
 
 
 @pytest.hookimpl(wrapper=True, tryfirst=True)

@@ -5,18 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.core import kernel
+from tests.core import reference
 
 
-@pytest.fixture(params=["kernel", "numpy"])
+@pytest.fixture(params=["kernel", "oracle"])
 def index_pass_impl(request, monkeypatch) -> str:
-    """Run the test's decodes through the compiled index pass, then numpy.
-
-    The numpy leg patches :func:`repro.core.kernel.load` to report the
-    kernel unavailable, which is exactly the fallback a host without gcc
-    takes.
-    """
-    if request.param == "numpy":
-        monkeypatch.setattr(kernel, "load", lambda: None)
-    elif kernel.load() is None:
-        pytest.skip("compiled index pass unavailable on this host")
+    """Run the test's decodes through the compiled index pass, then through
+    the scalar reference index pass of :mod:`tests.core.reference`."""
+    if request.param == "oracle":
+        monkeypatch.setattr(kernel, "index_pass", reference.index_pass)
     return request.param

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.bitio import BitReader, BitWriter
+from repro.core import PaSTRICompressor
 from repro.core import header as fmt
 from repro.core.blocking import BlockSpec
 from repro.core.scaling import ScalingMetric
@@ -80,3 +81,38 @@ def test_oversized_dims_rejected():
     hdr = make_header(spec=BlockSpec((1 << 16, 1, 1, 1)))
     with pytest.raises(ParameterError):
         fmt.write_header(BitWriter(), hdr)
+
+
+@pytest.mark.parametrize("dims", [(300,) * 4, (65535,) * 4, (100,) * 4])
+def test_corrupt_geometry_raises_format_error(dims):
+    """A 33-byte blob declaring one zero-kind block of a geometry past
+    MAX_BLOCK_SIZE must not drive a huge allocation (or succeed)."""
+    w = BitWriter()
+    fmt.write_header(w, make_header(spec=BlockSpec(dims), n_blocks=1, n_tail=0))
+    w.write_uint(fmt.KIND_ZERO, 2)
+    blob = w.getvalue()
+    assert len(blob) == 33
+    with pytest.raises(FormatError, match="bad block geometry"):
+        fmt.read_header(BitReader(blob))
+    with pytest.raises(FormatError, match="bad block geometry"):
+        PaSTRICompressor(dims=(1, 1, 1, 1)).decompress(blob)
+    with pytest.raises(ParameterError, match="exceeds"):
+        PaSTRICompressor(dims=dims)
+
+
+def test_zero_dim_raises_format_error():
+    w = BitWriter()
+    fmt.write_header(w, make_header())
+    blob = bytearray(w.getvalue())
+    blob[14:16] = b"\x00\x00"  # N1: the first 16-bit dim field
+    with pytest.raises(FormatError, match="bad block geometry"):
+        fmt.read_header(BitReader(bytes(blob)))
+
+
+def test_largest_block_size_accepted():
+    side = round(fmt.MAX_BLOCK_SIZE ** 0.25)
+    assert side**4 == fmt.MAX_BLOCK_SIZE
+    w = BitWriter()
+    fmt.write_header(w, make_header(spec=BlockSpec((side,) * 4)))
+    assert fmt.read_header(BitReader(w.getvalue())).spec.block_size == fmt.MAX_BLOCK_SIZE
+    assert PaSTRICompressor(dims=(side,) * 4).spec.block_size == fmt.MAX_BLOCK_SIZE

@@ -1,110 +1,42 @@
-"""The compiled index pass against its numpy oracle.
+"""The compiled index pass against its scalar oracle.
 
-``PaSTRICompressor._index_pass`` runs ``_ecqkernel.c`` when it loads and
-``_index_pass_numpy`` otherwise.  Both must return the same parse tuple
-(values, dtypes, shapes, body end) and the same exception class on every
-input, valid or corrupt.  Streams here come from the compressor and from a
-hand-built writer with an independent per-token reference encoder, which
-reaches field values the compressor never emits (generic tree 4 up to
-EC_b,max = 40, raw blocks with arbitrary bits).
+``PaSTRICompressor._index_pass`` is one call into ``_ecqkernel.c``.  The
+kernel and :func:`tests.core.reference.index_pass` must return the same
+parse tuple (values, dtypes, shapes, body end) and raise the same exception
+class on every input, valid or corrupt.  Streams here come from the
+compressor and from the hand-built reference writer, which reaches field
+values the compressor never emits (generic tree 4 up to EC_b,max = 40, raw
+blocks with arbitrary bits).
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import shutil
 import subprocess
 import sys
 import textwrap
-import warnings
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from repro.bitio import BitReader, BitWriter
 from repro.core import PaSTRICompressor, kernel
 from repro.core import header as fmt
 from repro.core.blocking import BlockSpec
-from repro.core.compressor import MAX_ECB
-from repro.core.quantize import MAX_FIELD_BITS
-from repro.core.scaling import ScalingMetric
-from repro.errors import FormatError, ParameterError
+from repro.errors import FormatError, KernelBuildError, ParameterError
 from repro.harness.datasets import standard_dataset
 from tests.conftest import make_patterned_stream
+from tests.core import reference
+from tests.core.reference import build_blob, parse_both
 from tests.core.test_batched_golden import GOLDEN
 
 REPO = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
-LIB = kernel.load()
 # the decode helpers scope their monkeypatching to one call
 SLOW_OK = [HealthCheck.too_slow, HealthCheck.function_scoped_fixture]
-needs_kernel = pytest.mark.skipif(LIB is None, reason="compiled index pass unavailable")
-
-
-# ---------------------------------------------------------------------------
-# Reference writer: one token at a time, as bit strings.
-
-
-def ref_token(v: int, ecb: int, tree: int) -> str:
-    """Codeword of ``v`` under ``tree`` (paper Fig. 7), MSB first."""
-    if tree == 5:
-        tree = 4 if ecb == 2 else 3
-    pay = format(v + (1 << (ecb - 1)), f"0{ecb}b") if ecb else ""
-    if v == 0:
-        return "0"
-    if tree == 1:
-        return "1" + pay
-    if tree == 2:
-        return {1: "10", -1: "110"}.get(v, "111" + pay)
-    if tree == 3:
-        return {1: "110", -1: "111"}.get(v, "10" + pay)
-    a = abs(v)
-    w = a.bit_length()  # bin w + 1 carries w payload bits
-    assert w <= ecb - 1
-    prefix = "1" * (ecb - 1) if w == ecb - 1 else "1" * w + "0"
-    payload = a if v < 0 else a - (1 << (w - 1))
-    return prefix + format(payload, f"0{w}b")
-
-
-def write_bits(w: BitWriter, bits: str) -> None:
-    if bits:
-        w.write_bits_array(np.frombuffer(bits.encode(), dtype=np.uint8) - ord("0"))
-
-
-def build_blob(dims, tree, blocks, tail=(), eb=1e-10) -> bytes:
-    """Serialise ``blocks`` (see :func:`blocks_strategy`) as a PaSTRI stream."""
-    spec = BlockSpec(dims)
-    M, L, N = spec.num_sb, spec.sb_size, spec.block_size
-    idx_bits = max(1, (N - 1).bit_length())
-    w = BitWriter()
-    fmt.write_header(w, fmt.StreamHeader(eb, spec, len(blocks), len(tail), tree, ScalingMetric.ER))
-    for blk in blocks:
-        if blk[0] == "zero":
-            w.write_uint(fmt.KIND_ZERO, 2)
-        elif blk[0] == "raw":
-            w.write_uint(fmt.KIND_RAW, 2)
-            w.write_uint_array(np.asarray(blk[1], dtype=np.uint64), 64)
-        else:
-            _, pb, pqsq, ecb, sparse, vals = blk
-            w.write_uint(fmt.KIND_PATTERNED, 2)
-            w.write_uint(pb, 6)
-            w.write_uint_array(np.asarray(pqsq, dtype=np.uint64), pb)
-            w.write_uint(ecb, 6)
-            if ecb < 2:
-                continue
-            w.write_uint(int(sparse), 1)
-            if sparse:
-                nz = [i for i, v in enumerate(vals) if v]
-                w.write_uint(len(nz), N.bit_length())
-                for i in nz:
-                    w.write_uint(i, idx_bits)
-                    w.write_uint(vals[i] + (1 << (ecb - 1)), ecb)
-            else:
-                write_bits(w, "".join(ref_token(int(v), ecb, tree) for v in vals))
-    w.write_uint_array(np.asarray(tail, dtype=np.float64).view(np.uint64), 64)
-    return w.getvalue()
 
 
 DIMS = st.sampled_from([(1, 1, 1, 1), (1, 1, 2, 2), (1, 2, 1, 3), (2, 2, 3, 3)])
@@ -144,19 +76,10 @@ def blocks_strategy(draw, dims, tree):
 # Helpers: both paths on one blob.
 
 
-def parse_with(blob: bytes, impl: str):
-    codec = PaSTRICompressor(dims=(1, 1, 1, 1))
-    r = BitReader(blob)
-    hdr = fmt.read_header(r)
-    if impl == "kernel":
-        return kernel.index_pass(LIB, blob, hdr, r.pos, MAX_FIELD_BITS, MAX_ECB)
-    return codec._index_pass_numpy(blob, hdr, r)
-
-
 def decode_with(blob: bytes, impl: str, monkeypatch) -> np.ndarray:
     with monkeypatch.context() as m:
-        if impl == "numpy":
-            m.setattr(kernel, "load", lambda: None)
+        if impl == "oracle":
+            m.setattr(kernel, "index_pass", reference.index_pass)
         return PaSTRICompressor(dims=(1, 1, 1, 1)).decompress(blob)
 
 
@@ -168,31 +91,20 @@ def outcome(blob: bytes, impl: str, monkeypatch):
         return type(exc)
 
 
-def assert_same_parse(blob: bytes) -> None:
-    a, b = parse_with(blob, "kernel"), parse_with(blob, "numpy")
-    assert len(a) == len(b) == 10
-    for x, y in zip(a[:-1], b[:-1]):
-        assert x.dtype == y.dtype and x.shape == y.shape
-        assert np.array_equal(x, y)
-    assert type(a[-1]) is int and a[-1] == b[-1]
-
-
 # ---------------------------------------------------------------------------
 # Byte identity on valid streams.
 
 
-@needs_kernel
 @settings(max_examples=150, deadline=None, suppress_health_check=SLOW_OK)
 @given(data=st.data(), dims=DIMS, tree=st.integers(1, 5), n_tail=st.integers(0, 3))
 def test_hand_built_streams_parse_identically(data, dims, tree, n_tail, monkeypatch):
     blocks = data.draw(blocks_strategy(dims, tree))
     tail = np.random.default_rng(n_tail).standard_normal(n_tail)
     blob = build_blob(dims, tree, blocks, tail)
-    assert_same_parse(blob)
-    assert outcome(blob, "kernel", monkeypatch) == outcome(blob, "numpy", monkeypatch)
+    parse_both(blob)
+    assert outcome(blob, "kernel", monkeypatch) == outcome(blob, "oracle", monkeypatch)
 
 
-@needs_kernel
 @pytest.mark.parametrize("tree", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("sparse", [False, True])
 def test_every_tree_and_ecb_decodes_reference_values(tree, sparse):
@@ -202,8 +114,7 @@ def test_every_tree_and_ecb_decodes_reference_values(tree, sparse):
         vals = [0, 1, -1, hi, -hi, 0, 0, hi // 2, -(hi // 3), 1, 0, -1]
         pqsq = np.arange(8)
         blob = build_blob((1, 2, 2, 3), tree, [("pat", 3, pqsq, ecb, sparse, vals), ("zero",)])
-        assert_same_parse(blob)
-        parse = parse_with(blob, "kernel")
+        parse = parse_both(blob)
         assert parse[8].shape[1] == 12
         if sparse:
             assert parse[6][0] and parse[4][0] == sum(1 for v in vals if v)
@@ -212,7 +123,6 @@ def test_every_tree_and_ecb_decodes_reference_values(tree, sparse):
             assert parse[8].tolist() == [vals]
 
 
-@needs_kernel
 @settings(max_examples=60, deadline=None, suppress_health_check=SLOW_OK)
 @given(
     tree=st.integers(1, 5),
@@ -240,9 +150,9 @@ def test_compressor_streams_parse_identically(
         blob = codec.compress(data, eb)
     except ParameterError:
         assume(False)  # tree 4 codewords past 64 bits cannot be emitted
-    assert_same_parse(blob)
+    parse_both(blob)
     out = decode_with(blob, "kernel", monkeypatch)
-    assert out.tobytes() == decode_with(blob, "numpy", monkeypatch).tobytes()
+    assert out.tobytes() == decode_with(blob, "oracle", monkeypatch).tobytes()
     assert np.max(np.abs(out - data)) <= eb
 
 
@@ -266,7 +176,7 @@ def test_round_trip_within_bound(index_pass_impl, tree, mode):
 
 
 # ---------------------------------------------------------------------------
-# Corrupt EC_b,max: a typed FormatError on both paths.
+# Corrupt EC_b,max: a typed FormatError from the kernel and the oracle.
 
 
 @pytest.mark.parametrize("sparse", [False, True])
@@ -318,15 +228,13 @@ def _small_blobs() -> list[bytes]:
     return blobs
 
 
-@needs_kernel
 def test_every_truncation_fails_alike(monkeypatch):
     for blob in _small_blobs():
         for cut in range(len(blob)):
             got = outcome(blob[:cut], "kernel", monkeypatch)
-            assert got == outcome(blob[:cut], "numpy", monkeypatch), (len(blob), cut)
+            assert got == outcome(blob[:cut], "oracle", monkeypatch), (len(blob), cut)
 
 
-@needs_kernel
 def test_random_bit_flips_fail_or_decode_alike(monkeypatch):
     rng = np.random.default_rng(2024)
     for blob in _small_blobs():
@@ -335,10 +243,9 @@ def test_random_bit_flips_fail_or_decode_alike(monkeypatch):
             for p in rng.integers(0, 8 * len(blob), rng.integers(1, 4)):
                 bad[p // 8] ^= 0x80 >> (p % 8)
             bad = bytes(bad)
-            assert outcome(bad, "kernel", monkeypatch) == outcome(bad, "numpy", monkeypatch)
+            assert outcome(bad, "kernel", monkeypatch) == outcome(bad, "oracle", monkeypatch)
 
 
-@needs_kernel
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="uses mprotect")
 def test_kernel_never_reads_past_the_blob():
     """Every truncation sits flush against a PROT_NONE page: any load past
@@ -352,7 +259,7 @@ def test_kernel_never_reads_past_the_blob():
         from repro.core.compressor import MAX_ECB
         from repro.core.quantize import MAX_FIELD_BITS
         from repro.errors import FormatError
-        lib, libc = kernel.load(), ctypes.CDLL(None)
+        libc = ctypes.CDLL(None)
         page = mmap.PAGESIZE
         for blob in map(bytes.fromhex, {blobs!r}):
             n = -(-len(blob) // page) * page
@@ -366,7 +273,7 @@ def test_kernel_never_reads_past_the_blob():
                 r = BitReader(blob[:cut])
                 try:
                     hdr = fmt.read_header(r)
-                    kernel.index_pass(lib, view, hdr, r.pos, MAX_FIELD_BITS, MAX_ECB)
+                    kernel.index_pass(view, hdr, r.pos, MAX_FIELD_BITS, MAX_ECB)
                 except FormatError:
                     pass
         print("ok")
@@ -379,37 +286,32 @@ def test_kernel_never_reads_past_the_blob():
 
 
 # ---------------------------------------------------------------------------
-# Loader: cache, atomic build, fallback.
+# Loader: cache, atomic build, typed failure.
 
 
 @pytest.fixture
 def fresh_loader(tmp_path, monkeypatch):
-    """An unloaded kernel module building into ``tmp_path/_build``, with an
-    empty ``TMPDIR``; returns ``(build_dir, tmpdir)``."""
+    """The loader building into ``tmp_path/_build``, with an empty
+    ``TMPDIR``; returns ``(build_dir, tmpdir)``."""
     tmpdir = tmp_path / "tmp"
     tmpdir.mkdir()
     monkeypatch.setenv("TMPDIR", str(tmpdir))
-    monkeypatch.setattr(kernel, "_lib", kernel._UNSET)
     monkeypatch.setattr(kernel, "BUILD_DIR", str(tmp_path / "_build"))
     return tmp_path / "_build", tmpdir
 
 
 def test_build_caches_by_source_hash(fresh_loader, monkeypatch):
     build_dir, tmpdir = fresh_loader
-    if kernel.load() is None:
-        pytest.skip("no working gcc on this host")
+    assert kernel.load() is not None
     assert os.listdir(build_dir) == [os.path.basename(kernel.library_path())]
     assert os.listdir(tmpdir) == []
     # a new process loads the cached library without rebuilding
-    monkeypatch.setattr(kernel, "_lib", kernel._UNSET)
     monkeypatch.setattr(kernel, "build", lambda path: pytest.fail("rebuilt a cached kernel"))
     assert kernel.load() is not None
 
 
 @pytest.mark.parametrize("broken", ["link", "no-compiler", "unwritable"])
-def test_failed_build_falls_back_once_and_leaves_nothing(
-    fresh_loader, tmp_path, monkeypatch, broken
-):
+def test_failed_build_raises_and_leaves_nothing(fresh_loader, tmp_path, monkeypatch, broken):
     build_dir, tmpdir = fresh_loader
     if broken == "link":  # compiles (gcc scratch files appear), then fails to link
         monkeypatch.setattr(kernel, "CC", (*kernel.CC, "-Wl,--no-such-linker-flag"))
@@ -419,21 +321,28 @@ def test_failed_build_falls_back_once_and_leaves_nothing(
         (tmp_path / "ro").write_text("")
         build_dir = tmp_path / "ro" / "_build"
         monkeypatch.setattr(kernel, "BUILD_DIR", str(build_dir))
-    with pytest.warns(RuntimeWarning, match="decoding with numpy") as rec:
-        assert kernel.load() is None
-    assert len(rec) == 1
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        monkeypatch.setattr(kernel, "build", lambda path: pytest.fail("build retried"))
-        assert kernel.load() is None
+    with pytest.raises(KernelBuildError) as exc:
+        kernel.load()
+    msg = str(exc.value)
+    assert " ".join(kernel.CC) in msg and kernel.SOURCE in msg and str(build_dir) in msg
+    if broken == "link":
+        assert "no-such-linker-flag" in msg  # gcc's stderr
     assert os.listdir(tmpdir) == []
     if build_dir.is_dir():
         assert os.listdir(build_dir) == []
 
 
-def test_fallback_decodes_the_same_bytes(monkeypatch):
-    data = standard_dataset("trialanine", "(dd|dd)", "small").data[: 20 * 1296]
-    blob = PaSTRICompressor(config="(dd|dd)").compress(data, 1e-10)
-    assert decode_with(blob, "numpy", monkeypatch).tobytes() == (
-        decode_with(blob, "kernel", monkeypatch).tobytes()
-    )
+def test_import_without_gcc_raises_typed_error(tmp_path):
+    """A tree with no cached kernel on a host without gcc fails at import."""
+    src = os.path.join(REPO, "src", "repro")
+    shutil.copytree(src, tmp_path / "repro", ignore=shutil.ignore_patterns("_build", "__pycache__"))
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(tmp_path), PATH="", TMPDIR=str(tmpdir))
+    res = subprocess.run([sys.executable, "-c", "import repro"], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode != 0
+    assert "repro.errors.KernelBuildError" in res.stderr
+    assert "`gcc -O2 -shared -fPIC`" in res.stderr
+    assert os.listdir(tmpdir) == []
+    assert os.listdir(tmp_path / "repro" / "core" / "_build") == []

@@ -58,7 +58,7 @@ def test_quantize_block_guarantees_error_bound(rng):
     block = np.outer(scales, pattern) + rng.standard_normal((8, 16)) * 1e-9
     q = qz.quantize_block(block, pattern, scales, eb)
     approx = qz.reconstruct_block(q.pq, q.sq, eb, q.s_b)
-    recon = qz.apply_error_correction(approx, q.ecq, eb)
+    recon = approx + q.ecq * qz.working_binsize(eb)
     assert np.max(np.abs(recon - block)) <= eb
     assert q.s_b == q.p_b  # the paper's practical coupling
 
@@ -74,12 +74,6 @@ def test_ec_b_max_from_extremum():
     assert qz.ec_b_max(np.array([0, -1])) == 2
     assert qz.ec_b_max(np.array([5])) == 4
     assert qz.ec_b_max(np.zeros(0, dtype=np.int64)) == 1
-
-
-def test_theoretical_lower_bound_ecb():
-    # Eq. 19 with Dev_ext = 1e-8, EB = 1e-10: log2(99) -> 7 bits.
-    assert qz.theoretical_lower_bound_ecb(1e-8, 1e-10) == 7
-    assert qz.theoretical_lower_bound_ecb(1e-11, 1e-10) == 1
 
 
 def test_naive_s_bits_reproduces_paper_33():

@@ -8,7 +8,6 @@ from repro.core.scaling import (
     ScalingMetric,
     fit_pattern,
     fit_pattern_batch,
-    metric_cost_rank,
 )
 
 
@@ -113,10 +112,6 @@ def test_metric_coercion_from_string():
     assert ScalingMetric.coerce(ScalingMetric.IS) is ScalingMetric.IS
     with pytest.raises(ValueError):
         ScalingMetric.coerce("nope")
-
-
-def test_cost_rank_starts_with_er():
-    assert metric_cost_rank()[0] is ScalingMetric.ER
 
 
 def test_fit_returns_view_not_copy(rng):

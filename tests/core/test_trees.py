@@ -1,21 +1,28 @@
-"""Unit tests for the five ECQ encoding trees (repro.core.trees)."""
+"""Unit tests for the five ECQ encoding trees (repro.core.trees).
+
+Round trips decode the encoder's bits as the dense segment of a one-block
+stream, through the compiled index pass and its scalar oracle at once.
+"""
 
 import numpy as np
 import pytest
 
-from repro.bitio import BitWriter
-from repro.core.trees import TREE_IDS, decode_ecq, encode_ecq, encoded_size_bits
-from repro.errors import ParameterError
+from repro.bitio import BitReader, BitWriter
+from repro.core import header as fmt
+from repro.core.trees import TREE_IDS, encode_ecq, encoded_size_bits
+from repro.errors import FormatError, ParameterError
+from tests.core.reference import build_blob, parse_both, segment_blob
 
 
 def roundtrip(vals, ecb, tree):
     codes, lengths = encode_ecq(np.asarray(vals, dtype=np.int64), ecb, tree)
-    w = BitWriter()
-    w.write_varlen_array(codes, lengths)
-    bits = np.unpackbits(np.frombuffer(w.getvalue(), np.uint8))
-    out, end = decode_ecq(bits, 0, len(vals), ecb, tree)
-    assert end == w.nbits
-    return out.tolist(), w.nbits
+    seg = BitWriter()
+    seg.write_varlen_array(codes, lengths)
+    nbits = seg.nbits
+    blob, start = segment_blob(seg, len(vals), ecb, tree)
+    parse = parse_both(blob)
+    assert parse[-1] - start == nbits
+    return parse[8][0].tolist(), nbits
 
 
 def test_tree1_codeword_shapes():
@@ -111,23 +118,27 @@ def test_rejects_unknown_tree_and_bad_ecb():
         encode_ecq(np.array([0]), 4, 6)
     with pytest.raises(ParameterError):
         encode_ecq(np.array([0]), 1, 1)
-    with pytest.raises(ParameterError):
-        decode_ecq(np.zeros(8, dtype=np.uint8), 0, 1, 4, 0)
+    blob = bytearray(build_blob((1, 1, 1, 1), 5, [("zero",)]))
+    blob[5] &= 0x0F  # tree id 0
+    with pytest.raises(FormatError, match="bad tree id 0"):
+        fmt.read_header(BitReader(bytes(blob)))
 
 
 def test_decode_zero_tokens_is_empty():
-    out, end = decode_ecq(np.zeros(4, dtype=np.uint8), 2, 0, 4, 5)
-    assert out.size == 0 and end == 2
+    # EC_b,max < 2: the block carries no ECQ segment at all
+    blob = build_blob((1, 1, 2, 2), 5, [("pat", 3, np.arange(5), 1, False, [0] * 4)])
+    parse = parse_both(blob)
+    assert parse[7].size == 0 and parse[8].shape == (0, 4)
+    assert parse[-1] == fmt.StreamHeader.NBITS + 2 + 6 + 5 * 3 + 6
 
 
 def test_decode_is_bounded_by_segment():
-    # decoding must not scan past n * max_token_len even in a long stream
-    vals = np.array([0, 0, 1])
-    codes, lengths = encode_ecq(vals, 2, 5)
-    w = BitWriter()
-    w.write_varlen_array(codes, lengths)
-    w.write_uint(0xFFFF, 16)  # trailing unrelated data
-    bits = np.unpackbits(np.frombuffer(w.getvalue(), np.uint8))
-    out, end = decode_ecq(bits, 0, 3, 2, 5)
-    assert out.tolist() == [0, 0, 1]
-    assert end == 4
+    # decoding must stop after n tokens even with more bits in the stream
+    codes, lengths = encode_ecq(np.array([0, 0, 1]), 2, 5)
+    seg = BitWriter()
+    seg.write_varlen_array(codes, lengths)
+    seg.write_uint(0xFFFF, 16)  # trailing unrelated data
+    blob, start = segment_blob(seg, 3, 2, 5)
+    parse = parse_both(blob)
+    assert parse[8].tolist() == [[0, 0, 1]]
+    assert parse[-1] == start + 4

@@ -27,7 +27,7 @@ def test_full_quantization_respects_bound(block, eb, metric):
     fit = fit_pattern(block, metric)
     q = qz.quantize_block(block, fit.pattern, fit.scales, eb)
     approx = qz.reconstruct_block(q.pq, q.sq, eb, q.s_b)
-    recon = qz.apply_error_correction(approx, q.ecq, eb)
+    recon = approx + q.ecq * qz.working_binsize(eb)
     assert np.max(np.abs(recon - block)) <= eb
 
 

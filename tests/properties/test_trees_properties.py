@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bitio import BitWriter
-from repro.core.trees import TREE_IDS, decode_ecq, encode_ecq, encoded_size_bits
+from repro.core.trees import TREE_IDS, encode_ecq, encoded_size_bits
+from tests.core.reference import parse_both, segment_blob
 
 
 @st.composite
@@ -24,12 +25,13 @@ def ecq_streams(draw):
 def test_roundtrip_identity(stream, tree):
     vals, ecb = stream
     codes, lengths = encode_ecq(vals, ecb, tree)
-    w = BitWriter()
-    w.write_varlen_array(codes, lengths)
-    bits = np.unpackbits(np.frombuffer(w.getvalue(), np.uint8))
-    out, end = decode_ecq(bits, 0, vals.size, ecb, tree)
-    assert end == int(lengths.sum())
-    assert np.array_equal(out, vals)
+    seg = BitWriter()
+    seg.write_varlen_array(codes, lengths)
+    # the kernel and the scalar oracle decode the segment identically
+    blob, start = segment_blob(seg, vals.size, ecb, tree)
+    parse = parse_both(blob)
+    assert parse[-1] - start == int(lengths.sum())
+    assert np.array_equal(parse[8][0], vals)
 
 
 @given(stream=ecq_streams(), tree=st.sampled_from(TREE_IDS))

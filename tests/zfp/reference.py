@@ -16,6 +16,7 @@ from repro.bitio import BitWriter
 from repro.zfp import compressor as zc
 from repro.zfp import transform as tf
 from repro.zfp.bitplane import BLOCK
+from tests.bitio.reference import write_bigint
 
 
 def encode_block(u: tuple[int, int, int, int], top_plane: int, maxprec: int) -> tuple[int, int]:
@@ -124,5 +125,5 @@ def scalar_compress(data: np.ndarray, error_bound: float) -> bytes:
             w.write_uint_array(blocks[b].view(np.uint64), 64)
         elif mp > 0:
             payload, nbits = encode_block(tuple(u[b]), tf.TOP_PLANE, mp)
-            w.write_bigint(payload, nbits)
+            write_bigint(w, payload, nbits)
     return w.getvalue()

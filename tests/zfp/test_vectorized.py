@@ -9,6 +9,7 @@ from repro.streamio import ContainerWriter, open_container
 from repro.zfp import ZFPCompressor
 from repro.zfp import transform as tf
 from repro.zfp.vectorized import encode_blocks, msb_positions
+from tests.bitio.reference import write_bigint
 from tests.zfp.reference import encode_block, scalar_compress
 
 
@@ -35,7 +36,7 @@ def test_tokens_concatenate_to_scalar_payload(maxprec, rng):
         got = w.getvalue()
         payload, nbits = encode_block(tuple(int(x) for x in u[g]), top, maxprec)
         ref = BitWriter()
-        ref.write_bigint(payload, nbits)
+        write_bigint(ref, payload, nbits)
         assert nbits == int(lengths[g].sum())
         assert got == ref.getvalue()
 
